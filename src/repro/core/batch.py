@@ -26,10 +26,14 @@ Stages, mirroring the per-graph pipeline exactly:
    Section IV-E, FULL anchor mode.  (Theorems 4/6 make start times
    identical across anchor modes on well-posed graphs, and FULL sets
    are exactly what the bitmask sweep already computed.)
-4. **unpack** -- per-graph results materialize *lazily*; graphs the
-   arena cannot represent (ill-posed graphs needing serialization,
-   > 63 anchors, oversized weights) fall back to ``schedule_graph``
-   per graph, preserving the exact exception taxonomy.
+4. **unpack** -- every distinct schedule is compiled once into a
+   :class:`_Template` in canonical coordinates (one vectorized pass
+   over the dense table; cache hits compile their entry on first use),
+   and each result relabels its template *lazily*, on ``unpack()``,
+   through the arena-wide canonical permutation.  Graphs the arena
+   cannot represent (ill-posed graphs needing serialization, > 63
+   anchors, oversized weights) fall back to ``schedule_graph`` per
+   graph, preserving the exact exception taxonomy.
 
 A persistent :class:`~repro.core.resultcache.ScheduleCache` keyed by
 the canonical hash turns repeated (even renamed) designs into lookups;
@@ -47,6 +51,7 @@ from __future__ import annotations
 import hashlib
 import time
 from contextlib import nullcontext
+from itertools import compress, repeat
 from typing import Any, Dict, Iterable, List, Optional, Union
 
 try:  # pragma: no cover - exercised via the scalar-path tests
@@ -178,9 +183,18 @@ class BatchResult:
     def schedule(self) -> RelativeSchedule:
         """The relative schedule; materialized on first access."""
         if self.error is not None:
-            raise self.error
+            # Drop the previous raise's frames: re-raising the stored
+            # instance would otherwise grow its traceback on every call.
+            raise self.error.with_traceback(None)
         if self._schedule is None:
-            self._schedule = _materialize(self.graph, self._lazy)
+            # The graph's slice of a canonical permutation: numpy arrays
+            # over the whole arena, or (numpy absent) the graph's lists.
+            template, ranks, inv, start = self._lazy
+            n = len(self.graph)
+            ranks, inv = ranks[start:start + n], inv[start:start + n]
+            if not isinstance(ranks, list):
+                ranks, inv = ranks.tolist(), inv.tolist()
+            self._schedule = template.schedule(self.graph, ranks, inv)
             self._lazy = None
         return self._schedule
 
@@ -217,42 +231,97 @@ class BatchRun:
         return f"BatchRun({self.stats})"
 
 
-def _materialize(graph: ConstraintGraph, lazy: tuple) -> RelativeSchedule:
-    """Build the RelativeSchedule from a lazy dense-row or cache payload."""
-    kind = lazy[0]
-    offsets: Dict[str, Dict[str, int]] = {}
-    if kind == "dense":
-        _, rows, bits, n_anchors, iterations = lazy
+class _Template:
+    """One distinct schedule, compiled once into canonical coordinates;
+    every graph it serves relabels it without per-cell work.
+
+    Row ``r`` belongs to the rank-``r`` vertex.  ``patterns`` is a small
+    table of the distinct tracked-anchor column sequences (column ``j``
+    is the anchor of rank ``anchor_ranks[j]``), ``row_pattern[r]``
+    indexes it, and ``row_vals[r]`` holds row ``r``'s offsets in the
+    pattern's column order.  All of them are read-only once built.
+    """
+
+    __slots__ = ("anchor_ranks", "patterns", "row_pattern", "row_vals",
+                 "iterations", "_pending")
+
+    def __init__(self, anchor_ranks: List[int], patterns: List[Any],
+                 row_pattern: List[int], row_vals: List[Any],
+                 iterations: int) -> None:
+        self.anchor_ranks = anchor_ranks
+        self.patterns = patterns
+        self.row_pattern = row_pattern
+        self.row_vals = row_vals
+        self.iterations = iterations
+        self._pending: Optional[List[List[int]]] = None
+
+    @classmethod
+    def of_entry(cls, entry: Dict[str, Any]) -> "_Template":
+        """A cache entry's template, memoized on the (in-memory) entry.
+
+        Its rows (``-1`` marks untracked cells) compile on first use, so
+        unread hits cost nothing, and a design hit again in a later call
+        reuses the compiled template.  An entry's offsets never change
+        once stored, so every call and thread may share the template.
+        """
+        template = entry.get("template")
+        if template is None:
+            template = cls(entry["anchor_ranks"], [], [], [],
+                           entry["iterations"])
+            template._pending = entry["rows"]
+            entry["template"] = template
+        return template
+
+    def _compile_rows(self, rows: List[List[int]]) -> None:
+        columns = range(len(self.anchor_ranks))
+        ids: Dict[tuple, int] = {}  # column tuple -> pattern id
+        row_pattern = [
+            ids.setdefault(tuple(compress(columns, map(_TRACKED, row))),
+                           len(ids))
+            for row in rows]
+        row_vals = [tuple(filter(_TRACKED, row)) for row in rows]
+        # Concurrent first unpacks may both compile (same result); the
+        # pending rows are cleared only once every field is in place.
+        self.row_pattern, self.row_vals = row_pattern, row_vals
+        self.patterns = list(ids)
+        self._pending = None
+
+    def schedule(self, graph: ConstraintGraph, ranks: List[int],
+                 inv: List[int]) -> RelativeSchedule:
+        """The schedule of *graph*, where ``ranks[i]`` is the canonical
+        rank of its ``i``-th vertex and ``inv[r]`` the insertion index
+        of its rank-``r`` vertex.
+
+        Vertices come out in insertion order, as ``schedule_graph``
+        returns them; each row lists its anchors in canonical-rank
+        order, a name-free order shared by every graph the template
+        serves.  Per graph, only the pattern table is relabelled (one
+        key tuple and one frozenset per pattern); every per-row step
+        runs at C level.  Row dicts are fresh per graph, while the
+        per-pattern frozensets are shared between rows, which is safe
+        because they are immutable.
+        """
+        pending = self._pending
+        if pending is not None:
+            self._compile_rows(pending)
         names = graph.vertex_names()
-        anchors = graph.anchors
-        for j, name in enumerate(names):
-            row = rows[j]
-            brow = bits[j]
-            offsets[name] = {anchors[s]: int(row[s])
-                             for s in range(n_anchors) if brow[s]}
-    else:  # "entry"/"entryr": relabel a cache entry onto this graph
-        if kind == "entryr":
-            # Arena results defer the canonical-order construction to
-            # first access: lazy[1] is this graph's per-vertex canonical
-            # rank in insertion order (a numpy view into the arena).
-            _, ranks, entry = lazy
-            names = graph.vertex_names()
-            order = [""] * len(names)
-            for name, r in zip(names, ranks.tolist()):
-                order[r] = name
-        else:
-            _, order, entry = lazy
-        iterations = entry["iterations"]
-        anchor_names = [order[r] for r in entry["anchor_ranks"]]
-        rows = entry["rows"]
-        for r, name in enumerate(order):
-            row = rows[r]
-            offsets[name] = {anchor_names[j]: row[j]
-                             for j in range(len(anchor_names)) if row[j] >= 0}
-    anchor_sets = {name: frozenset(d) for name, d in offsets.items()}
-    return RelativeSchedule(graph=graph, anchor_sets=anchor_sets,
-                            offsets=offsets, anchor_mode=AnchorMode.FULL,
-                            iterations=int(iterations))
+        anchors = list(map(names.__getitem__,
+                           map(inv.__getitem__, self.anchor_ranks)))
+        keys = list(map(tuple, map(map, repeat(anchors.__getitem__),
+                                   self.patterns)))
+        sets = list(map(frozenset, keys))
+        pats = list(map(self.row_pattern.__getitem__, ranks))
+        rows = map(dict, map(zip, map(keys.__getitem__, pats),
+                             map(self.row_vals.__getitem__, ranks)))
+        return RelativeSchedule(
+            graph=graph, anchor_sets=dict(zip(names, map(sets.__getitem__,
+                                                         pats))),
+            offsets=dict(zip(names, rows)), anchor_mode=AnchorMode.FULL,
+            iterations=self.iterations)
+
+
+#: ``_TRACKED(v)`` is ``-1 < v``: the cache's untracked sentinel is -1.
+_TRACKED = (-1).__lt__
 
 
 # ----------------------------------------------------------------------
@@ -388,9 +457,11 @@ def _edge_sort(arena: "_Arena", rtail, rhead):
 def _arena_keys(arena: "_Arena"):
     """Canonical cache keys for every arena graph (vectorized WL).
 
-    Returns ``(keys, rank)``: per-graph SHA-256 hex keys (None for
-    graphs whose colors do not refine to discrete -- not cacheable) and
-    the per-vertex canonical rank within its graph.  Byte-identical to
+    Returns ``(keys, rank, inv)``: per-graph SHA-256 hex keys (None for
+    graphs whose colors do not refine to discrete -- not cacheable), the
+    per-vertex canonical rank within its graph, and its inverse
+    (``inv[vstart_g + r]`` is the local index of graph ``g``'s rank-``r``
+    vertex).  Byte-identical to
     :func:`repro.core.canonical.canonical_form` by construction.
     """
     np = _np
@@ -411,11 +482,12 @@ def _arena_keys(arena: "_Arena"):
         colors = _mix3v(colors, in_sum, out_sum)
 
     # Sort by (graph, color): compress colors to dense ranks first so
-    # both keys pack into one int64 argsort (~2x faster than lexsort;
-    # the stable color sort breaks ties by index, exactly as lexsort
-    # would, so the permutation is identical).
+    # both keys pack into one int64 argsort (~2x faster than lexsort).
+    # The color sort need not be stable: equal colors only tie inside
+    # ambiguous graphs, which get no key, and the ambiguity test below
+    # only needs equal colors of one graph to end up adjacent.
     if nv < 1 << 31:
-        corder = np.argsort(colors, kind="stable")
+        corder = np.argsort(colors)
         crank = np.empty(nv, np.int64)
         crank[corder] = np.arange(nv)
         order = np.argsort(arena.v_graph * nv + crank)
@@ -426,6 +498,7 @@ def _arena_keys(arena: "_Arena"):
     pos = np.empty(nv, np.int64)
     pos[order] = np.arange(nv)
     rank = pos - arena.vstart[arena.v_graph]
+    inv = order - arena.vstart[gsorted]
     ambiguous = np.zeros(na, bool)
     if nv > 1:
         dup = (csorted[1:] == csorted[:-1]) & (gsorted[1:] == gsorted[:-1])
@@ -474,7 +547,7 @@ def _arena_keys(arena: "_Arena"):
             key = hashlib.sha256(blob).hexdigest()
             seen[blob] = key
         keys.append(key)
-    return keys, rank
+    return keys, rank, inv
 
 
 # ----------------------------------------------------------------------
@@ -766,83 +839,99 @@ def _certify_dense(arena: "_Arena", sigma, bits, fast, vmap):
 
 
 # ----------------------------------------------------------------------
-# cache glue
+# templates and cache glue
 # ----------------------------------------------------------------------
 
 
-class _CanonicalRows:
-    """Dense results rewritten to canonical coordinates, arena-wide.
+def _split(flat: List[Any], lengths) -> List[tuple]:
+    """*flat* cut into consecutive tuples of the numpy *lengths*.
 
-    One vectorized gather flattens every fast graph's offset cells --
-    canonical vertex order, anchor columns in canonical-rank order,
-    untracked cells already replaced by the cache's ``-1`` sentinel --
-    into a single Python list; per-graph extraction is then pure list
-    slicing (per-graph ``tolist`` calls dominate the unpack phase
-    otherwise).
+    Tuples of ints leave the collector's lists after its first pass,
+    so the templates cost later collections nothing.
     """
+    ends = _np.cumsum(lengths)
+    return list(map(tuple, map(flat.__getitem__, map(
+        slice, (ends - lengths).tolist(), ends.tolist()))))
 
-    __slots__ = ("arena", "flat", "ranks", "astart", "cellstart")
 
-    def __init__(self, arena: "_Arena", rank, sigma, bits, fast,
-                 vmap) -> None:
-        np = _np
-        # Everything below is restricted to the rows of *fast* graphs --
-        # in dedup-heavy batches those are a small fraction of the arena,
-        # and payload() is never called for any other graph.  ``sigma``
-        # and ``bits`` are already compact (indexed through *vmap*, which
-        # may cover a superset of the current *fast*).
-        fastv = fast[arena.v_graph]
-        rows_sel = np.nonzero(fastv)[0]
-        fg = np.nonzero(fast)[0]
-        gmap = np.full(arena.na, -1, np.int64)  # arena graph -> fast slot
-        gmap[fg] = np.arange(fg.size)
-        cvcount = arena.vcount[fg]
-        cvstart = np.zeros(fg.size + 1, np.int64)
-        cvstart[1:] = np.cumsum(cvcount)
-        # Compact dense rows, re-ordered to canonical vertex order.
-        dense_rows = vmap[rows_sel]
-        sigma_m = np.where(bits[dense_rows], sigma[dense_rows], -1)
-        compact = cvstart[gmap[arena.v_graph[rows_sel]]] + rank[rows_sel]
-        sigma_c = np.empty_like(sigma_m)
-        sigma_c[compact] = sigma_m
-        anchor_v = np.nonzero((arena.v_aslot >= 0) & fastv)[0]
-        order = np.lexsort((rank[anchor_v], arena.v_graph[anchor_v]))
-        anchor_v = anchor_v[order]
-        slots = arena.v_aslot[anchor_v]  # dense columns in anchor-rank order
-        self.ranks = rank[anchor_v].tolist()
-        gk = arena.n_anchors[fg]
-        astart = np.zeros(fg.size + 1, np.int64)
-        astart[1:] = np.cumsum(gk)
-        # Flatten sigma_c[cvstart_g + r, slots[astart_g + j]] over every
-        # (fast graph g, canonical rank r, anchor j) cell, row-major.
-        kv = np.repeat(gk, cvcount)  # cells per compact vertex row
-        nrows = int(cvstart[-1])
-        row_idx = np.repeat(np.arange(nrows), kv)
-        cell_of_row = np.cumsum(kv) - kv
-        j = np.arange(row_idx.size) - np.repeat(cell_of_row, kv)
-        gi_of_row = np.repeat(np.arange(fg.size), cvcount)
-        col_idx = slots[astart[gi_of_row[row_idx]] + j]
-        self.flat = sigma_c[row_idx, col_idx].tolist()
-        gcells = np.zeros(fg.size + 1, np.int64)
-        gcells[1:] = np.cumsum(cvcount * gk)
-        self.cellstart = gcells.tolist()
-        self.astart = astart.tolist()
-        self.arena = (arena, gmap)
 
-    def payload(self, gi: int):
-        """``(n, anchor_ranks, rows)`` of graph *gi* for a cache entry."""
-        arena, gmap = self.arena
-        fi = int(gmap[gi])
-        n = int(arena.vcount[gi])
-        s, e = self.astart[fi], self.astart[fi + 1]
-        anchor_ranks = self.ranks[s:e]
-        k = e - s
-        if k == 0:  # unreachable for polar graphs (the source is an anchor)
-            return n, anchor_ranks, [[] for _ in range(n)]
-        off = self.cellstart[fi]
-        flat = self.flat
-        rows = [flat[o:o + k] for o in range(off, off + n * k, k)]
-        return n, anchor_ranks, rows
+
+def _compile_templates(arena: "_Arena", rank, inv, sigma, bits, fast,
+                       vmap, iterations, want_cells: bool):
+    """Every fast graph's :class:`_Template` in one vectorized pass.
+
+    Returns ``({arena graph: template}, cells)``.  The dense rows are
+    gathered into canonical coordinates (rows by rank, columns by anchor
+    rank) for all fast graphs at once; each row's tracked columns become
+    a bitmask, and one ``np.unique`` over ``(graph, mask)`` pairs gives
+    every template its pattern table.  Values and patterns leave numpy
+    as one flat list each and are sliced per row at C level, so no
+    numpy scalar is ever read per cell.  With *want_cells*, ``cells``
+    maps each fast graph to its ``(n, k)`` canonical block with ``-1``
+    in untracked cells -- the cache-entry layout -- else it is None.
+    """
+    np = _np
+    # Restricted to the rows of *fast* graphs: in dedup-heavy batches
+    # they are a small fraction of the arena.  ``sigma`` and ``bits``
+    # are compact, indexed through *vmap* (which may cover a superset
+    # of the current *fast*).
+    fg = np.nonzero(fast)[0]
+    nf = fg.size
+    cvcount = arena.vcount[fg]
+    cvstart = np.zeros(nf + 1, np.int64)
+    cvstart[1:] = np.cumsum(cvcount)
+    gi = np.repeat(np.arange(nf), cvcount)  # fast slot of every row
+    # The arena vertex of every canonical row, graph by graph in rank
+    # order; the anchors among them come out in canonical order too.
+    base = arena.vstart[fg][gi]
+    canon = base + inv[base + np.arange(int(cvstart[-1])) - cvstart[gi]]
+    anchor_v = canon[arena.v_aslot[canon] >= 0]
+    gk = arena.n_anchors[fg]
+    astart = np.zeros(nf + 1, np.int64)
+    astart[1:] = np.cumsum(gk)
+    # colmap[f, j]: the dense column of fast graph f's j-th anchor by
+    # canonical rank; past its last anchor, some column that ``valid``
+    # masks out.
+    ncols = max(int(gk.max()), 1)
+    j = np.arange(ncols)
+    valid = j < gk[:, None]
+    slots = np.append(arena.v_aslot[anchor_v], 0)
+    colmap = slots[np.minimum(astart[:-1, None] + j, anchor_v.size)]
+    nrows = canon.size
+    dense = vmap[canon]
+    cell = dense[:, None] * bits.shape[1] + colmap[gi]  # flat dense index
+    tracked = bits.ravel()[cell] & valid[gi]
+    # Tracked cells in canonical row-major order; only they are read.
+    rc, jc = np.nonzero(tracked)
+    vals = sigma.ravel()[cell[tracked]]
+
+    # Pattern ids local to each template: unique (graph, mask) pairs
+    # come out sorted by graph, so a template's patterns are contiguous.
+    mask = np.bincount(rc, weights=np.left_shift(1, jc),
+                       minlength=nrows).astype(np.int64)
+    pairs, inverse = np.unique((gi << 32) | mask, return_inverse=True)
+    pstart = np.searchsorted(pairs >> 32, np.arange(nf + 1))
+    local = inverse.reshape(-1) - pstart[gi]
+    pbits = ((pairs & 0xFFFFFFFF)[:, None] >> j) & 1 != 0
+    patterns = _split(np.nonzero(pbits)[1].tolist(), pbits.sum(axis=1))
+    row_vals = _split(vals.tolist(), np.bincount(rc, minlength=nrows))
+    row_pattern = local.tolist()
+    anchor_ranks = rank[anchor_v].tolist()
+
+    cs, ps, ks = cvstart.tolist(), pstart.tolist(), astart.tolist()
+    its = iterations[fg].tolist()
+    templates = {}
+    for f, ai in enumerate(fg.tolist()):
+        templates[ai] = _Template(
+            anchor_ranks[ks[f]:ks[f + 1]], patterns[ps[f]:ps[f + 1]],
+            row_pattern[cs[f]:cs[f + 1]], row_vals[cs[f]:cs[f + 1]], its[f])
+    cells = None
+    if want_cells:
+        table = np.full((nrows, ncols), -1, np.int64)
+        table[rc, jc] = vals
+        cells = {ai: table[cs[f]:cs[f + 1], :ks[f + 1] - ks[f]]
+                 for f, ai in enumerate(fg.tolist())}
+    return templates, cells
 
 
 def _entry_rows_from_offsets(order: List[str], anchor_ranks: List[int],
@@ -969,7 +1058,7 @@ def _schedule_arena(graphs, eligible, results, cache, auto_well_pose,
     batch = [graphs[i] for i in eligible]
     with _span(tracer, "batch.assemble"):
         arena = _assemble(batch)
-        keys, rank = _arena_keys(arena)
+        keys, rank, inv = _arena_keys(arena)
         _check_deadline(deadline)
         hits: Dict[int, dict] = {}
         if cache is not None:
@@ -979,22 +1068,6 @@ def _schedule_arena(graphs, eligible, results, cache, auto_well_pose,
                 entry = cache.get(key)
                 if entry is not None and entry["n"] == int(arena.vcount[ai]):
                     hits[ai] = entry
-
-    def ranks_of(ai: int):
-        vs = int(arena.vstart[ai])
-        return rank[vs:vs + int(arena.vcount[ai])]
-
-    def order_of(ai: int) -> List[str]:
-        names = batch[ai].vertex_names()
-        order: List[str] = [""] * len(names)
-        for name, r in zip(names, ranks_of(ai).tolist()):
-            order[r] = name
-        return order
-
-    for ai, entry in hits.items():
-        results[eligible[ai]] = BatchResult(
-            eligible[ai], batch[ai], cached=True,
-            lazy=("entryr", ranks_of(ai), entry))
 
     # Within-batch dedup: isomorphic repeats of a graph already in this
     # batch are classified/scheduled once and relabelled from the
@@ -1049,49 +1122,44 @@ def _schedule_arena(graphs, eligible, results, cache, auto_well_pose,
                 need_fallback = need_fallback | failed
 
     with _span(tracer, "batch.unpack"):
-        canon = None
-        if fast.any() and (cache is not None or dup_of):
-            canon = _CanonicalRows(arena, rank, sigma, bits, fast, vmap)
-        rep_entries: Dict[int, dict] = {}
+        # Results keep the arena-wide canonical permutation (rank, inv)
+        # and slice their own graph's part out of it on unpack.
+        vstart = arena.vstart.tolist()
+        templates: Dict[int, _Template] = {}
+        cells: Optional[Dict[int, Any]] = None
+        if fast.any():
+            templates, cells = _compile_templates(
+                arena, rank, inv, sigma, bits, fast, vmap, iterations,
+                want_cells=cache is not None)
+        for ai, entry in hits.items():
+            results[eligible[ai]] = BatchResult(
+                eligible[ai], batch[ai], cached=True,
+                lazy=(_Template.of_entry(entry), rank, inv, vstart[ai]))
 
-        def dense_entry(ai: int) -> dict:
-            entry = rep_entries.get(ai)
-            if entry is None:
-                n, anchor_ranks, rows = canon.payload(ai)
-                entry = {"n": n, "anchor_ranks": anchor_ranks, "rows": rows,
-                         "iterations": int(iterations[ai])}
-                rep_entries[ai] = entry
-                if cache is not None and keys[ai] is not None:
-                    cache.put(keys[ai], n, anchor_ranks, rows,
-                              int(iterations[ai]))
-            return entry
-
+        cyclic_of, unfeasible_of = cyclic.tolist(), unfeasible.tolist()
+        stuck_of = (inconsistent & ~need_fallback).tolist()
         for ai in range(arena.na):
             i = eligible[ai]
             if results[i] is not None or ai in dup_of:
                 continue
             graph = batch[ai]
-            if cyclic[ai]:
+            if cyclic_of[ai]:
                 results[i] = BatchResult(i, graph, error=CyclicForwardGraphError(
                     "forward constraint graph has a cycle"))
-            elif unfeasible[ai]:
+            elif unfeasible_of[ai]:
                 results[i] = BatchResult(i, graph, error=UnfeasibleConstraintsError(
                     "constraint graph has a positive cycle"))
-            elif inconsistent[ai] and not need_fallback[ai]:
+            elif stuck_of[ai]:
                 results[i] = BatchResult(i, graph, error=InconsistentConstraintsError(
                     f"no convergence within the |Eb|+1 = "
                     f"{int(arena.nb[ai]) + 1} iteration bound"))
-            elif fast[ai]:
-                # A fast graph's dense rows are contiguous in the
-                # compact table; vmap locates its first row.
-                cvs = int(vmap[int(arena.vstart[ai])])
-                n = int(arena.vcount[ai])
-                k = int(arena.n_anchors[ai])
+            elif ai in templates:
+                template = templates[ai]
                 results[i] = BatchResult(i, graph, lazy=(
-                    "dense", sigma[cvs:cvs + n], bits[cvs:cvs + n], k,
-                    int(iterations[ai])))
+                    template, rank, inv, vstart[ai]))
                 if cache is not None and keys[ai] is not None:
-                    dense_entry(ai)
+                    cache.put(keys[ai], len(graph), template.anchor_ranks,
+                              cells[ai].tolist(), template.iterations)
             else:
                 _check_deadline(deadline)
                 schedule, error = _run_fallback(graph, auto_well_pose,
@@ -1101,10 +1169,13 @@ def _schedule_arena(graphs, eligible, results, cache, auto_well_pose,
                 if (schedule is not None and cache is not None
                         and keys[ai] is not None
                         and schedule.graph is graph):
-                    order = order_of(ai)
-                    rank_of = {name: r for r, name in enumerate(order)}
-                    _store_schedule_entry(cache, keys[ai], order, rank_of,
-                                          schedule)
+                    names = graph.vertex_names()
+                    vs = vstart[ai]
+                    canonical = list(map(names.__getitem__,
+                                         inv[vs:vs + len(names)].tolist()))
+                    rank_of = {name: r for r, name in enumerate(canonical)}
+                    _store_schedule_entry(cache, keys[ai], canonical,
+                                          rank_of, schedule)
 
         # Resolve within-batch duplicates from their representatives.
         for ai, rep in dup_of.items():
@@ -1116,9 +1187,9 @@ def _schedule_arena(graphs, eligible, results, cache, auto_well_pose,
                 # are isomorphism-invariant; reuse type and message.
                 error = type(rep_result.error)(str(rep_result.error))
                 results[i] = BatchResult(i, graph, error=error)
-            elif fast[rep]:
+            elif rep in templates:
                 results[i] = BatchResult(i, graph, lazy=(
-                    "entryr", ranks_of(ai), dense_entry(rep)))
+                    templates[rep], rank, inv, vstart[ai]))
             else:
                 _check_deadline(deadline)
                 schedule, error = _run_fallback(graph, auto_well_pose,
@@ -1137,8 +1208,12 @@ def _schedule_scalar(graphs, eligible, results, cache, auto_well_pose,
         if form is not None:
             entry = cache.get(form.key)
             if entry is not None and entry["n"] == len(form.order):
-                results[i] = BatchResult(i, graph, cached=True,
-                                         lazy=("entry", form.order, entry))
+                names = graph.vertex_names()
+                index = {name: j for j, name in enumerate(names)}
+                ranks = list(map(form.rank.__getitem__, names))
+                order = list(map(index.__getitem__, form.order))
+                results[i] = BatchResult(i, graph, cached=True, lazy=(
+                    _Template.of_entry(entry), ranks, order, 0))
                 continue
         schedule, error = _run_fallback(graph, auto_well_pose, deadline)
         results[i] = BatchResult(i, graph, error=error, schedule=schedule,

@@ -29,8 +29,10 @@ An entry stores the FULL-mode minimum offsets of one well-posed graph in
 *canonical coordinates*: ``rows[r][j]`` is the offset of the rank-``r``
 vertex with respect to the ``j``-th anchor (anchors in canonical-rank
 order, per ``anchor_ranks``), with ``-1`` for untracked pairs -- the
-same sentinel the indexed kernel uses.  Only well-posed graphs are
-cached: their offsets are a structural fixpoint, so relabelling a hit
+same sentinel the indexed kernel uses.  In memory, the batch kernel
+memoizes its compiled form of an entry on the entry dict (key
+``"template"``); it is never written to the file.  Only well-posed
+graphs are cached: their offsets are a structural fixpoint, so relabelling a hit
 onto an isomorphic graph is exact.  Ill-posed graphs are *not* cached --
 ``make_well_posed`` breaks serialization ties by vertex name, so its
 output (and hence the serialized schedule) is not guaranteed stable

@@ -7,11 +7,16 @@ fallbacks; bad graphs never poison the batch; budgets apply per graph
 with a batch-wide deadline.
 """
 
+import copy
 import random
+import sys
+import threading
+import traceback
 
 import pytest
 
 from repro import ConstraintGraph, UNBOUNDED
+from repro.core import batch
 from repro.core.anchors import AnchorMode
 from repro.core.batch import BatchResult, BatchRun, schedule_many
 from repro.core.exceptions import (
@@ -21,6 +26,7 @@ from repro.core.exceptions import (
     UnfeasibleConstraintsError,
 )
 from repro.core.scheduler import schedule_graph
+from repro.io import schedule_to_dict
 from repro.qa.generators import (
     batch_corpus,
     chain_ladder_graph,
@@ -44,14 +50,51 @@ def reference_outcomes(corpus):
         g.copy(), anchor_mode=AnchorMode.FULL)) for g in corpus]
 
 
+def assert_matches_per_graph(schedule, graph):
+    """Everything ``schedule_graph(FULL)`` returns, vertex order included.
+
+    (A batch row dict lists its anchors in canonical-rank order, so row
+    dicts compare as dicts, not as sequences.)
+    """
+    want = schedule_graph(graph.copy(), anchor_mode=AnchorMode.FULL)
+    assert schedule.offsets == want.offsets
+    assert schedule.anchor_sets == want.anchor_sets
+    assert schedule.iterations == want.iterations
+    assert schedule_to_dict(schedule) == schedule_to_dict(want)
+    assert list(schedule.offsets) == list(want.offsets)
+    assert list(schedule.anchor_sets) == list(want.anchor_sets)
+    for vertex, row in schedule.offsets.items():
+        assert schedule.anchor_sets[vertex] == frozenset(row)
+
+
+def twins(seed):
+    """A chain-ladder design and a renamed, reshuffled isomorph of it."""
+    rng = random.Random(seed)
+    base = chain_ladder_graph(rng)
+    return base, renamed_isomorph(base, rng)
+
+
+def symmetric_graph():
+    """Two interchangeable anchors: WL colors never become discrete."""
+    g = ConstraintGraph(source="s", sink="t")
+    g.add_operation("x", UNBOUNDED)
+    g.add_operation("y", UNBOUNDED)
+    g.add_operation("z", 3)
+    g.add_sequencing_edges([("s", "x"), ("s", "y"), ("x", "z"), ("y", "z"),
+                            ("z", "t")])
+    return g
+
+
 class TestDifferential:
     def test_mixed_corpus_matches_per_graph(self):
         corpus = batch_corpus(21, 60, n_unique=20)
         expected = reference_outcomes(corpus)
         run = schedule_many([g.copy() for g in corpus])
         assert len(run) == len(corpus)
-        for result, want in zip(run, expected):
+        for result, want, graph in zip(run, expected, corpus):
             assert outcome(result.unpack) == want
+            if result.ok:
+                assert_matches_per_graph(result.unpack(), graph)
 
     def test_error_types_match_per_graph(self):
         # A cyclic forward graph and an unfeasible graph inside an
@@ -82,6 +125,111 @@ class TestDifferential:
         schedule_many(corpus)
         assert [g.version for g in corpus] == before
 
+    def test_ambiguous_graph_in_mixed_batch(self):
+        # Equal WL colors only tie inside an ambiguous graph: it gets no
+        # key (so no dedup, no cache) and still schedules exactly.
+        from repro.core.batch import _arena_keys, _assemble
+
+        rng = random.Random(15)
+        corpus = [chain_ladder_graph(rng), symmetric_graph(),
+                  chain_ladder_graph(rng), symmetric_graph()]
+        keys = _arena_keys(_assemble(corpus))[0]
+        assert keys[1] is None and keys[3] is None
+        assert keys[0] is not None and keys[2] is not None
+        run = schedule_many([g.copy() for g in corpus])
+        assert run.stats["scheduled"] == 4
+        for result, graph in zip(run, corpus):
+            assert_matches_per_graph(result.unpack(), graph)
+
+
+class TestEverySource:
+    """Each way a result can be produced matches the per-graph pipeline
+    exactly: offsets, anchor sets, iterations and key order."""
+
+    def test_dense_representative(self):
+        base, _ = twins(12)
+        run = schedule_many([base.copy()])
+        assert not run[0].cached and not run[0].fallback
+        assert_matches_per_graph(run[0].unpack(), base)
+
+    def test_in_batch_isomorph(self):
+        base, twin = twins(13)
+        run = schedule_many([base.copy(), twin.copy()])
+        assert run.stats["scheduled"] == 2
+        assert_matches_per_graph(run[0].unpack(), base)
+        assert_matches_per_graph(run[1].unpack(), twin)
+
+    def test_persistent_cache_hit(self, tmp_path):
+        base, twin = twins(14)
+        path = str(tmp_path / "cache.jsonl")
+        schedule_many([base.copy()], cache=path)
+        run = schedule_many([twin.copy(), base.copy()], cache=path)
+        assert run[0].cached and run[1].cached
+        assert_matches_per_graph(run[0].unpack(), twin)
+        assert_matches_per_graph(run[1].unpack(), base)
+
+    def test_numpy_absent_path(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(batch, "_np", None)
+        base, twin = twins(16)
+        path = str(tmp_path / "cache.jsonl")
+        cold = schedule_many([base.copy(), twin.copy()], cache=path)
+        # Per graph in order: the twin already hits the base's entry.
+        assert cold[0].fallback and cold[1].cached
+        warm = schedule_many([twin.copy(), base.copy()], cache=path)
+        assert warm[0].cached and warm[1].cached
+        assert_matches_per_graph(cold[0].unpack(), base)
+        assert_matches_per_graph(cold[1].unpack(), twin)
+        assert_matches_per_graph(warm[0].unpack(), twin)
+        assert_matches_per_graph(warm[1].unpack(), base)
+
+    def test_concurrent_first_unpacks_of_one_cache_entry(self, tmp_path):
+        # Hits of one entry share a template that compiles on first
+        # use; racing first unpacks may compile it twice, never wrongly.
+        base, _ = twins(18)
+        path = str(tmp_path / "cache.jsonl")
+        schedule_many([base.copy()], cache=path)
+        corpus = [renamed_isomorph(base, random.Random(seed))
+                  for seed in range(12)]
+        run = schedule_many([g.copy() for g in corpus], cache=path)
+        assert all(result.cached for result in run)
+        schedules = [None] * len(run)
+
+        def unpack(i):
+            schedules[i] = run[i].unpack()
+
+        threads = [threading.Thread(target=unpack, args=(i,))
+                   for i in range(len(run))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for schedule, graph in zip(schedules, corpus):
+            assert_matches_per_graph(schedule, graph)
+
+    def test_twins_never_share_mutable_rows(self, tmp_path):
+        base, twin = twins(17)
+        path = str(tmp_path / "cache.jsonl")
+        run = schedule_many([base.copy(), twin.copy()], cache=path)
+        first, second = run[0].unpack(), run[1].unpack()
+        original = copy.deepcopy(first.offsets)
+        expected = copy.deepcopy(second.offsets)
+        vertex = next(v for v, row in first.offsets.items() if row)
+        anchor = next(iter(first.offsets[vertex]))
+        first.offsets[vertex][anchor] += 1000
+        first.offsets[vertex]["intruder"] = 1
+        assert second.offsets == expected
+        # The cache entry was written from the arena, not from the
+        # mutated dicts: a later hit still relabels the true offsets.
+        hit = schedule_many([base.copy()], cache=path)
+        assert hit[0].cached
+        assert hit[0].unpack().offsets == original
+
 
 class TestDedupAndCache:
     def test_duplicates_schedule_once(self):
@@ -105,8 +253,11 @@ class TestDedupAndCache:
         assert warm.stats["cache_hits"] > 0
         for a, b in zip(cold, warm):
             assert outcome(a.unpack) == outcome(b.unpack)
-        for result, want in zip(warm, reference_outcomes(corpus)):
+        for result, want, graph in zip(warm, reference_outcomes(corpus),
+                                       corpus):
             assert outcome(result.unpack) == want
+            if result.ok:
+                assert_matches_per_graph(result.unpack(), graph)
 
     def test_cache_survives_across_instances(self, tmp_path):
         g = chain_ladder_graph(random.Random(9))
@@ -163,10 +314,20 @@ class TestRunShape:
         assert run.stats["graphs"] == 0
 
     def test_repeated_unpack_is_stable(self):
-        g = chain_ladder_graph(random.Random(11))
-        run = schedule_many([g])
+        rng = random.Random(11)
+        g = chain_ladder_graph(rng)
+        run = schedule_many([g, unfeasible_chain_graph(rng)])
         first = run[0].unpack()
         assert run[0].unpack() is first
+        # The stored error is raised afresh each time: its traceback
+        # must not accumulate the frames of earlier unpacks.
+        depths = []
+        for _ in range(4):
+            with pytest.raises(UnfeasibleConstraintsError) as info:
+                run[1].unpack()
+            depths.append(len(traceback.extract_tb(info.value.__traceback__)))
+        assert depths == [depths[0]] * 4
+        assert depths[0] <= 3
 
 
 class TestIllPosedFallback:

@@ -174,9 +174,20 @@ class TestVectorizedTwin:
 
         corpus = batch_corpus(97, 120, n_unique=40)
         arena = _assemble(corpus)
-        keys, _ = _arena_keys(arena)
-        for graph, key in zip(corpus, keys):
+        keys, rank, inv = _arena_keys(arena)
+        for gi, (graph, key) in enumerate(zip(corpus, keys)):
             assert canonical_key(graph) == key
+            # Keyed graphs rank their vertices exactly as the scalar
+            # canonical order does, and inv inverts rank.
+            vs, n = int(arena.vstart[gi]), len(graph)
+            names = graph.vertex_names()
+            ranks = rank[vs:vs + n].tolist()
+            assert sorted(ranks) == list(range(n))
+            assert [ranks[i] for i in inv[vs:vs + n].tolist()] \
+                == list(range(n))
+            if key is not None:
+                form = canonical_form(graph)
+                assert ranks == [form.rank[name] for name in names]
 
     def test_arena_flags_ambiguous_graphs(self):
         from repro.core.batch import _arena_keys, _assemble
@@ -187,6 +198,6 @@ class TestVectorizedTwin:
         g.add_sequencing_edges([("s", "x"), ("s", "y"), ("x", "t"),
                                 ("y", "t")])
         arena = _assemble([g, small_graph()])
-        keys, _ = _arena_keys(arena)
+        keys = _arena_keys(arena)[0]
         assert keys[0] is None
         assert keys[1] == canonical_key(small_graph())
