@@ -38,10 +38,12 @@ cost at most ``BATCH_UNPACK_SHARE_CEILING`` times that call
 
 The online executor (:mod:`repro.runtime`) is gated self-relatively on
 sustained completion events per second (``runtime_events_per_sec``):
-identical streams through the shipped warm-restart executor versus a
-naive per-event from-scratch solver, plus the one-warm-reschedule-per-
-event cost-model invariant.  ``BENCH_runtime.json`` tracks the full
-corpus numbers.
+identical streams through the shipped executor, which issues from the
+static offsets, versus a naive per-event from-scratch solver.  The
+floor sits far above what any per-event solve can reach, and
+``runtime_no_reschedule`` pins the cost model: the executor runs no
+scheduler at all.  ``BENCH_runtime.json`` tracks the full corpus
+numbers.
 
 The write-ahead session journal (:mod:`repro.runtime.journal`) is gated
 on its per-event tax (``journal_overhead``): identical streams through
@@ -95,10 +97,19 @@ QUICK_SIZES = [100, 400]
 #: jitter cannot fail the guard on small workloads.
 NOISE_FLOOR_MS = 2.0
 #: Ceiling on unpacking every OK result of the quick batch corpus over
-#: the ``schedule_many`` call itself.  Measured 1.16-1.38 on a 2-vCPU
-#: x86-64 VM (per-cell materialization measured 1.49-1.67 there); the
-#: margin absorbs runner noise, not a return to per-cell work.
+#: the ``schedule_many`` call itself.  On a 2-vCPU x86-64 VM, template
+#: materialization measured 1.02-1.54 over 46 runs plus one outlier at
+#: 1.75, and per-cell materialization 1.49-1.75 over two series of
+#: runs.  The ranges overlap, so this ceiling cannot tell a return to
+#: per-cell work from noise (a full revert usually passes it); it
+#: catches only regressions well beyond per-cell cost.
 BATCH_UNPACK_SHARE_CEILING = 1.75
+#: Default ``--runtime-floor``.  On the quick stream corpus (2-vCPU
+#: x86-64 VM), an executor running one warm dict-kernel reschedule per
+#: event measured 1.85-2.28x over the per-event from-scratch solver (6
+#: runs), and the executor that solves nothing per event 25.8-42.2x
+#: (22 runs), so any per-event solve fails this floor.
+RUNTIME_FLOOR = 10.0
 
 
 def _time(graph, fn, reps):
@@ -245,31 +256,30 @@ def guard_batch(reps, floor):
 
 
 def guard_runtime(floor):
-    """The online executor's warm restarts must beat cold solves.
+    """The online executor must not solve per event.
 
     Runs the quick :mod:`benchmarks.bench_runtime` corpus -- identical
-    event streams through the shipped executor (one warm
-    ``run_from`` per completion) and through the naive per-event
-    from-scratch solver -- and gates the sustained events/sec ratio at
-    *floor*.  Self-relative, so it holds on CI runners.  Also pins the
-    executor's cost model: exactly one warm reschedule per accepted
-    completion event.
+    event streams through the shipped executor (issuing from the static
+    offsets) and through the naive per-event from-scratch solver -- and
+    gates the sustained events/sec ratio at *floor*.  Self-relative, so
+    it holds on CI runners.  Also pins the executor's cost model: no
+    scheduler run over the whole corpus.
     """
     from bench_runtime import bench_runtime
 
     entry = bench_runtime(quick=True)
     entry["checks"] = [{
         "check": "runtime_events_per_sec",
-        "ok": entry["warm_speedup"] >= floor,
-        "measured_speedup": entry["warm_speedup"],
-        "warm_events_per_sec": entry["warm"]["events_per_sec"],
+        "ok": entry["speedup"] >= floor,
+        "measured_speedup": entry["speedup"],
+        "executor_events_per_sec": entry["executor"]["events_per_sec"],
         "scratch_events_per_sec": entry["scratch"]["events_per_sec"],
         "floor": floor,
     }, {
-        "check": "runtime_one_reschedule_per_event",
-        "ok": entry["warm"]["reschedules"] == entry["warm"]["events"],
-        "reschedules": entry["warm"]["reschedules"],
-        "events": entry["warm"]["events"],
+        "check": "runtime_no_reschedule",
+        "ok": entry["executor"]["reschedules"] == 0,
+        "reschedules": entry["executor"]["reschedules"],
+        "events": entry["executor"]["events"],
     }]
     return entry
 
@@ -484,10 +494,11 @@ def main(argv=None):
                         help="warm-cache service p50 must stay within "
                         "this factor of the direct request-equivalent "
                         "pipeline, plus the noise floor (default 3.0)")
-    parser.add_argument("--runtime-floor", type=float, default=1.3,
+    parser.add_argument("--runtime-floor", type=float,
+                        default=RUNTIME_FLOOR,
                         help="minimum online-executor events/sec speedup "
                         "over per-event from-scratch solving on the "
-                        "quick stream corpus (default 1.3)")
+                        f"quick stream corpus (default {RUNTIME_FLOOR:g})")
     parser.add_argument("--journal-factor", type=float, default=1.5,
                         help="fsync-off journaled sessions must keep the "
                         "per-event cost within this factor of in-memory "

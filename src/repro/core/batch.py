@@ -28,7 +28,7 @@ Stages, mirroring the per-graph pipeline exactly:
    are exactly what the bitmask sweep already computed.)
 4. **unpack** -- every distinct schedule is compiled once into a
    :class:`_Template` in canonical coordinates (one vectorized pass
-   over the dense table; cache hits compile their entry on first use),
+   over the dense table; a cache hit compiles its entry on unpack),
    and each result relabels its template *lazily*, on ``unpack()``,
    through the arena-wide canonical permutation.  Graphs the arena
    cannot represent (ill-posed graphs needing serialization, > 63
@@ -189,7 +189,11 @@ class BatchResult:
         if self._schedule is None:
             # The graph's slice of a canonical permutation: numpy arrays
             # over the whole arena, or (numpy absent) the graph's lists.
+            # A cache hit carries its entry and compiles a template of
+            # its own; the entry stays the cache's, untouched.
             template, ranks, inv, start = self._lazy
+            if isinstance(template, dict):
+                template = _Template.of_entry(template)
             n = len(self.graph)
             ranks, inv = ranks[start:start + n], inv[start:start + n]
             if not isinstance(ranks, list):
@@ -243,7 +247,7 @@ class _Template:
     """
 
     __slots__ = ("anchor_ranks", "patterns", "row_pattern", "row_vals",
-                 "iterations", "_pending")
+                 "iterations")
 
     def __init__(self, anchor_ranks: List[int], patterns: List[Any],
                  row_pattern: List[int], row_vals: List[Any],
@@ -253,38 +257,21 @@ class _Template:
         self.row_pattern = row_pattern
         self.row_vals = row_vals
         self.iterations = iterations
-        self._pending: Optional[List[List[int]]] = None
 
     @classmethod
     def of_entry(cls, entry: Dict[str, Any]) -> "_Template":
-        """A cache entry's template, memoized on the (in-memory) entry.
-
-        Its rows (``-1`` marks untracked cells) compile on first use, so
-        unread hits cost nothing, and a design hit again in a later call
-        reuses the compiled template.  An entry's offsets never change
-        once stored, so every call and thread may share the template.
-        """
-        template = entry.get("template")
-        if template is None:
-            template = cls(entry["anchor_ranks"], [], [], [],
-                           entry["iterations"])
-            template._pending = entry["rows"]
-            entry["template"] = template
-        return template
-
-    def _compile_rows(self, rows: List[List[int]]) -> None:
-        columns = range(len(self.anchor_ranks))
+        """A fresh template compiled from a cache entry's rows (``-1``
+        marks untracked cells)."""
+        rows = entry["rows"]
+        columns = range(len(entry["anchor_ranks"]))
         ids: Dict[tuple, int] = {}  # column tuple -> pattern id
         row_pattern = [
             ids.setdefault(tuple(compress(columns, map(_TRACKED, row))),
                            len(ids))
             for row in rows]
         row_vals = [tuple(filter(_TRACKED, row)) for row in rows]
-        # Concurrent first unpacks may both compile (same result); the
-        # pending rows are cleared only once every field is in place.
-        self.row_pattern, self.row_vals = row_pattern, row_vals
-        self.patterns = list(ids)
-        self._pending = None
+        return cls(entry["anchor_ranks"], list(ids), row_pattern, row_vals,
+                   entry["iterations"])
 
     def schedule(self, graph: ConstraintGraph, ranks: List[int],
                  inv: List[int]) -> RelativeSchedule:
@@ -301,9 +288,6 @@ class _Template:
         per-pattern frozensets are shared between rows, which is safe
         because they are immutable.
         """
-        pending = self._pending
-        if pending is not None:
-            self._compile_rows(pending)
         names = graph.vertex_names()
         anchors = list(map(names.__getitem__,
                            map(inv.__getitem__, self.anchor_ranks)))
@@ -854,6 +838,8 @@ def _split(flat: List[Any], lengths) -> List[tuple]:
         slice, (ends - lengths).tolist(), ends.tolist()))))
 
 
+# _compile_templates packs each row's tracked columns into a 32-bit mask.
+assert _MAX_DENSE_ANCHORS <= 32
 
 
 def _compile_templates(arena: "_Arena", rank, inv, sigma, bits, fast,
@@ -1134,7 +1120,7 @@ def _schedule_arena(graphs, eligible, results, cache, auto_well_pose,
         for ai, entry in hits.items():
             results[eligible[ai]] = BatchResult(
                 eligible[ai], batch[ai], cached=True,
-                lazy=(_Template.of_entry(entry), rank, inv, vstart[ai]))
+                lazy=(entry, rank, inv, vstart[ai]))
 
         cyclic_of, unfeasible_of = cyclic.tolist(), unfeasible.tolist()
         stuck_of = (inconsistent & ~need_fallback).tolist()
@@ -1213,7 +1199,7 @@ def _schedule_scalar(graphs, eligible, results, cache, auto_well_pose,
                 ranks = list(map(form.rank.__getitem__, names))
                 order = list(map(index.__getitem__, form.order))
                 results[i] = BatchResult(i, graph, cached=True, lazy=(
-                    _Template.of_entry(entry), ranks, order, 0))
+                    entry, ranks, order, 0))
                 continue
         schedule, error = _run_fallback(graph, auto_well_pose, deadline)
         results[i] = BatchResult(i, graph, error=error, schedule=schedule,

@@ -152,10 +152,11 @@ class ScheduleViolationError(ValueError):
 class IndexedKernelUnsupported(ConstraintGraphError):
     """The indexed array kernel cannot represent this request.
 
-    Raised by :func:`repro.core.indexed.schedule_offsets` when the anchor
-    sets name a tag that is not an anchor vertex of the compiled graph
-    (the dict reference loops accept arbitrary tag names, so callers
-    fall back to them).  Deliberately distinct from :class:`KeyError`:
-    a ``KeyError`` escaping the kernel is a genuine bug and must
-    propagate, never be masked as a silent slow-path fallback.
+    Raised by :func:`repro.core.indexed.schedule_offsets` (and so by
+    :class:`~repro.core.scheduler.IterativeIncrementalScheduler`) when
+    the anchor sets name a tag that is not an anchor vertex of the
+    compiled graph: the request is malformed, so it is a taxonomy
+    rejection.  Deliberately distinct from :class:`KeyError`: a
+    ``KeyError`` escaping the kernel is a genuine bug and must
+    propagate as one.
     """

@@ -100,15 +100,15 @@ def reschedule_with_observed(schedule: RelativeSchedule,
                              validate: bool = False) -> RelativeSchedule:
     """Fold observed anchor delays into the graph and warm-reschedule.
 
-    The online executor's warm-start entry point, keyed on partial
-    completion state: each ``{anchor: observed delay}`` pair rebinds the
-    anchor to a *bounded* vertex via
+    The *rebound* schedule of partial completion state (what
+    :attr:`repro.runtime.executor.OnlineExecutor.schedule` returns):
+    each ``{anchor: observed delay}`` pair rebinds the anchor to a
+    *bounded* vertex via
     :meth:`~repro.core.graph.ConstraintGraph.bind_anchor_delay`, then
     the relaxation resumes from the previous offsets.  Observed delays
     are >= 0 while the static offsets evaluated the unknown delays at
     their minimum (0), so the previous offsets under-approximate the
-    rebound fixpoint and the warm start is sound (Lemma 8) -- the
-    executor never reschedules from scratch.
+    rebound fixpoint and the warm start is sound (Lemma 8).
 
     The result is the minimum relative schedule of the rebound graph:
     its anchors are the source plus the still-unobserved anchors, and an

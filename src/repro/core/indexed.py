@@ -870,7 +870,7 @@ def schedule_offsets(graph: ConstraintGraph,
     rounds propagate only downstream of the vertices the readjustment
     moved.  Per-round fixpoints, the violated-edge sets and therefore
     the iteration count are identical to the reference dict scheduler
-    (``IterativeIncrementalScheduler`` with ``use_indexed=False``).
+    (:func:`repro.core.reference.schedule_offsets_reference`).
 
     With *initial*, relaxation warm-starts from the given offsets
     instead of zero (entries for untracked vertex/anchor pairs are
@@ -886,8 +886,7 @@ def schedule_offsets(graph: ConstraintGraph,
 
     Raises:
         IndexedKernelUnsupported: an anchor set names a tag that is not
-            an anchor vertex of the graph (callers fall back to the
-            reference path, which accepts arbitrary tag names).
+            an anchor vertex of the graph, or a vertex the graph lacks.
         InconsistentConstraintsError: no convergence in ``|Eb| + 1``
             rounds (Corollary 2).
     """
@@ -1068,9 +1067,8 @@ def schedule_offsets(graph: ConstraintGraph,
                          violations=len(violations), relaxations=relaxed,
                          kernel="indexed")
     if rec:
-        # Runs reaching the scheduler through the kernel gate get their
-        # summary event from the scheduler on success; the inconsistent
-        # outcome is only visible here.
+        # The scheduler emits a converged run's summary event; the
+        # inconsistent outcome is only visible here.
         tracer.count("scheduler.runs")
         tracer.count("scheduler.iterations", max_rounds)
         tracer.event("scheduler.run", iterations=max_rounds,

@@ -6,12 +6,14 @@ The production code paths (``repro.core.paths``, ``repro.core.anchors``,
 and worklist relaxation.  This module keeps the original dict-of-dict
 algorithms exactly as shipped in the seed so that
 
-* differential/property tests can assert the two kernels agree on
-  offsets, iteration counts, anchor sets and exception types
-  (``tests/core/test_indexed_differential.py``), and
+* differential/property tests and the qa oracle can assert the two
+  kernels agree on offsets, iteration counts, anchor sets and exception
+  types (``tests/core/test_indexed_differential.py``),
 * the perf trajectory harness (``benchmarks/run_benchsuite.py``) can
   measure the speedup of the indexed kernel against the original
-  implementation *in the same run*.
+  implementation *in the same run*, and
+* ``IterativeIncrementalScheduler(record_trace=True)`` can record the
+  per-round dict snapshots of the paper's Fig. 10 trace.
 
 Nothing here consults the versioned analysis cache: every function
 recomputes from the raw graph, exactly as the seed did.
@@ -19,12 +21,18 @@ recomputes from the raw graph, exactly as the seed did.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.anchors import AnchorMode, AnchorSets
-from repro.core.exceptions import UnfeasibleConstraintsError
-from repro.core.graph import ConstraintGraph
+from repro.core.exceptions import (
+    InconsistentConstraintsError,
+    UnfeasibleConstraintsError,
+)
+from repro.core.graph import ConstraintGraph, Edge
 from repro.core.paths import NO_PATH
+from repro.core.schedule import RelativeSchedule
+from repro.core.scheduler import IterationRecord, OffsetState, ScheduleTrace
+from repro.observability.tracer import STATE as _OBS
 
 # ----------------------------------------------------------------------
 # dense Bellman-Ford path machinery (original repro.core.paths)
@@ -265,6 +273,180 @@ def anchor_sets_for_mode_reference(graph: ConstraintGraph,
 
 
 # ----------------------------------------------------------------------
+# dict-of-dict scheduler loops (original repro.core.scheduler)
+# ----------------------------------------------------------------------
+
+
+def schedule_offsets_reference(graph: ConstraintGraph, anchor_sets: AnchorSets,
+                               initial: Optional[OffsetState] = None, *,
+                               trace: Optional[ScheduleTrace] = None
+                               ) -> Tuple[OffsetState, int]:
+    """Section IV-E on dict-of-dict offsets (the seed scheduler).
+
+    Same contract as :func:`repro.core.indexed.schedule_offsets`:
+    returns ``(offsets, iterations)``, warm-starts from *initial* when
+    given (entries the anchor sets do not track are dropped, negatives
+    clamped to 0), and produces the same per-round fixpoints and
+    violation sets, hence the same iteration count.  With *trace*, each
+    round's compute/readjust snapshots are appended to it (Fig. 10).
+
+    Raises:
+        InconsistentConstraintsError: no convergence in ``|Eb| + 1``
+            rounds (Corollary 2).
+    """
+    tracer = _OBS.tracer
+    rec = tracer.enabled
+    previous = initial or {}
+    offsets: OffsetState = {}
+    for vertex in graph.vertex_names():
+        old = previous.get(vertex, {})
+        offsets[vertex] = {anchor: max(0, old.get(anchor, 0))
+                           for anchor in anchor_sets[vertex]}
+    order = graph.forward_topological_order()
+    backward = graph.backward_edges()
+    max_rounds = len(backward) + 1
+    converged = False
+    for round_index in range(1, max_rounds + 1):
+        before = _snapshot(offsets) if rec else {}
+        _incremental_offset(graph, order, offsets)
+        if rec:
+            relaxed = _count_raises(before, offsets)
+        computed = _snapshot(offsets) if trace is not None else {}
+        violations = _find_violations(graph, offsets, backward)
+        if not violations:
+            if trace is not None:
+                trace.records.append(IterationRecord(
+                    round_index, computed, [], computed))
+            if rec:
+                tracer.count("scheduler.relaxations", relaxed)
+                tracer.event("scheduler.iteration", round=round_index,
+                             violations=0, relaxations=relaxed,
+                             kernel="reference")
+            converged = True
+            break
+        if rec:
+            before = _snapshot(offsets)
+        _readjust(graph, offsets, violations)
+        if rec:
+            relaxed += _count_raises(before, offsets)
+            tracer.count("scheduler.relaxations", relaxed)
+            tracer.event("scheduler.iteration", round=round_index,
+                         violations=len(violations), relaxations=relaxed,
+                         kernel="reference")
+        if trace is not None:
+            trace.records.append(IterationRecord(
+                round_index, computed, violations, _snapshot(offsets)))
+    if rec:
+        tracer.count("kernel.reference_runs")
+        tracer.count("scheduler.runs")
+        tracer.count("scheduler.iterations", round_index)
+        tracer.event("scheduler.run", iterations=round_index,
+                     bound=max_rounds, backward_edges=len(backward),
+                     warm=initial is not None, kernel="reference",
+                     converged=converged)
+    if not converged:
+        raise InconsistentConstraintsError(
+            f"no schedule after {max_rounds} iterations: timing "
+            f"constraints are inconsistent (Corollary 2)")
+    return offsets, round_index
+
+
+def _incremental_offset(graph: ConstraintGraph, order: List[str],
+                        offsets: OffsetState) -> None:
+    """One longest-path sweep over the acyclic forward graph.
+
+    Offsets only ever increase (Lemma 8); each sweep relaxes every
+    forward edge once in topological order, so its cost is
+    ``O(|A| * |Ef|)``.
+    """
+    for vertex in order:
+        tracked = offsets[vertex]
+        for edge in graph.in_edges(vertex, forward_only=True):
+            weight = edge.static_weight
+            source_offsets = offsets[edge.tail]
+            for anchor, sigma in source_offsets.items():
+                if anchor not in tracked:
+                    continue
+                candidate = sigma + weight
+                if candidate > tracked[anchor]:
+                    tracked[anchor] = candidate
+            # When the tail is itself an anchor tracked for this
+            # vertex, its own offset is normalized to 0 (Definition 3),
+            # so the edge also implies sigma_tail(vertex) >= 0 + weight.
+            # This covers both unbounded sequencing edges (weight 0)
+            # and bounded minimum constraints leaving an anchor.
+            if edge.tail in tracked and weight > tracked[edge.tail]:
+                tracked[edge.tail] = weight
+
+
+def _find_violations(graph: ConstraintGraph, offsets: OffsetState,
+                     backward: List[Edge]) -> List[Tuple[Edge, str]]:
+    """Backward edges whose inequality fails for some shared anchor."""
+    violations: List[Tuple[Edge, str]] = []
+    for edge in backward:
+        tail_offsets = _with_self(graph, offsets, edge.tail)
+        head_offsets = _with_self(graph, offsets, edge.head)
+        for anchor, sigma_tail in tail_offsets.items():
+            if anchor not in head_offsets:
+                continue
+            if head_offsets[anchor] < sigma_tail + edge.weight:
+                violations.append((edge, anchor))
+    return violations
+
+
+def _with_self(graph: ConstraintGraph, offsets: OffsetState,
+               vertex: str) -> Dict[str, int]:
+    """The tracked offsets of *vertex*, plus the implicit normalized
+    ``sigma_vertex(vertex) = 0`` when the vertex is an anchor."""
+    entries = offsets[vertex]
+    if graph.is_anchor(vertex) and vertex not in entries:
+        entries = dict(entries)
+        entries[vertex] = 0
+    return entries
+
+
+def _readjust(graph: ConstraintGraph, offsets: OffsetState,
+              violations: List[Tuple[Edge, str]]) -> None:
+    """Raise violated offsets by the minimum amount (ReadjustOffsets).
+
+    A violation whose anchor *is* the head vertex cannot be repaired
+    -- the head's own offset is pinned at 0 -- so it persists and the
+    iteration bound of Corollary 2 converts it into an inconsistency
+    report.
+    """
+    for edge, anchor in violations:
+        if anchor == edge.head:
+            continue
+        sigma_tail = _with_self(graph, offsets, edge.tail)[anchor]
+        required = sigma_tail + edge.weight
+        if offsets[edge.head].get(anchor, 0) < required:
+            offsets[edge.head][anchor] = required
+
+
+def _snapshot(offsets: OffsetState) -> OffsetState:
+    return {vertex: dict(entries) for vertex, entries in offsets.items()}
+
+
+def _count_raises(before: OffsetState, after: OffsetState) -> int:
+    """How many per-anchor offsets moved between two snapshots.
+
+    Offsets only ever increase (Lemma 8), so every difference is a
+    relaxation; entries absent from *before* (readjustment can introduce
+    them) count as raised from the implicit 0.
+    """
+    changed = 0
+    for vertex, entries in after.items():
+        old = before.get(vertex)
+        if old is None:
+            changed += sum(1 for sigma in entries.values() if sigma != 0)
+            continue
+        for anchor, sigma in entries.items():
+            if old.get(anchor, 0) != sigma:
+                changed += 1
+    return changed
+
+
+# ----------------------------------------------------------------------
 # full reference pipeline (original schedule_graph)
 # ----------------------------------------------------------------------
 
@@ -290,12 +472,10 @@ def schedule_graph_reference(graph: ConstraintGraph,
     """The seed's Fig. 9 pipeline on the retained dict code paths.
 
     Mirrors :func:`repro.core.scheduler.schedule_graph` but routes every
-    stage through this module and runs the scheduler with
-    ``use_indexed=False``, so the whole pipeline exercises the original
-    implementation end to end.
+    stage through this module, scheduler loops included, so the whole
+    pipeline exercises the original implementation end to end.
     """
     from repro.core.exceptions import IllPosedError
-    from repro.core.scheduler import IterativeIncrementalScheduler
     from repro.core.wellposed import WellPosedness, make_well_posed
 
     status = check_well_posed_reference(graph)
@@ -309,10 +489,10 @@ def schedule_graph_reference(graph: ConstraintGraph,
         graph = make_well_posed(graph)
 
     anchor_sets = anchor_sets_for_mode_reference(graph, anchor_mode)
-    scheduler = IterativeIncrementalScheduler(
-        graph, anchor_mode=anchor_mode, anchor_sets=anchor_sets,
-        use_indexed=False)
-    schedule = scheduler.run()
+    offsets, iterations = schedule_offsets_reference(graph, anchor_sets)
+    schedule = RelativeSchedule(
+        graph=graph, anchor_sets=anchor_sets, offsets=offsets,
+        anchor_mode=anchor_mode, iterations=iterations)
     if validate:
         schedule.validate()
     return schedule

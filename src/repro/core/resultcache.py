@@ -29,10 +29,8 @@ An entry stores the FULL-mode minimum offsets of one well-posed graph in
 *canonical coordinates*: ``rows[r][j]`` is the offset of the rank-``r``
 vertex with respect to the ``j``-th anchor (anchors in canonical-rank
 order, per ``anchor_ranks``), with ``-1`` for untracked pairs -- the
-same sentinel the indexed kernel uses.  In memory, the batch kernel
-memoizes its compiled form of an entry on the entry dict (key
-``"template"``); it is never written to the file.  Only well-posed
-graphs are cached: their offsets are a structural fixpoint, so relabelling a hit
+same sentinel the indexed kernel uses.  Only well-posed graphs are
+cached: their offsets are a structural fixpoint, so relabelling a hit
 onto an isomorphic graph is exact.  Ill-posed graphs are *not* cached --
 ``make_well_posed`` breaks serialization ties by vertex name, so its
 output (and hence the serialized schedule) is not guaranteed stable
@@ -199,7 +197,11 @@ class ScheduleCache:
 
 
 def _validated_entry(line: str) -> Optional[Dict[str, Any]]:
-    """Parse and structurally validate one cache line; None to drop it."""
+    """Parse and structurally validate one cache line; None to drop it.
+
+    Returns only the validated fields: anything else the line carries
+    is dropped, so an unvalidated value can never reach a reader.
+    """
     try:
         entry = json.loads(line)
     except ValueError:
@@ -240,4 +242,6 @@ def _validated_entry(line: str) -> Optional[Dict[str, Any]]:
     if not isinstance(iterations, int) or isinstance(iterations, bool) \
             or iterations < 0:
         return None
-    return entry
+    return {"format": CACHE_FORMAT, "key": key, "n": n,
+            "anchor_ranks": anchor_ranks, "rows": rows,
+            "iterations": iterations}

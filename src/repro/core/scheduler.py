@@ -16,7 +16,10 @@ If a round completes with no violated backward edge the offsets are the
 (Corollary 2) and :class:`InconsistentConstraintsError` is raised.
 
 The scheduler can run with full, relevant, or irredundant anchor sets
-(Theorems 4 and 6 make the three equivalent on well-posed graphs).
+(Theorems 4 and 6 make the three equivalent on well-posed graphs).  It
+runs on the indexed array kernel of :mod:`repro.core.indexed`; the
+seed's dict loops live on in :mod:`repro.core.reference` as the
+differential reference and as the recorder of the Fig. 10 trace.
 """
 
 from __future__ import annotations
@@ -27,12 +30,7 @@ from typing import Dict, List, Optional, Tuple
 import time
 
 from repro.core.anchors import AnchorMode, AnchorSets, anchor_sets_for_mode
-from repro.core.exceptions import (
-    BudgetExceededError,
-    InconsistentConstraintsError,
-    IndexedKernelUnsupported,
-    UnfeasibleConstraintsError,
-)
+from repro.core.exceptions import BudgetExceededError, UnfeasibleConstraintsError
 from repro.core.graph import ConstraintGraph, Edge
 from repro.core.schedule import RelativeSchedule
 from repro.core.wellposed import WellPosedness, check_well_posed, make_well_posed
@@ -113,39 +111,35 @@ class ScheduleTrace:
 class IterativeIncrementalScheduler:
     """The paper's ``IncrementalScheduling`` procedure.
 
+    Runs on the indexed array kernel
+    (:func:`repro.core.indexed.schedule_offsets`).
+
     Args:
         graph: a constraint graph with an acyclic forward subgraph.
         anchor_mode: which anchor sets to compute offsets against.
         anchor_sets: pre-computed anchor sets (overrides *anchor_mode*'s
             recomputation; callers doing the full pipeline pass the
-            irredundant sets here).
-        record_trace: keep per-iteration snapshots (Fig. 10).  Trace
-            recording runs on the reference dict loops (the snapshots
-            *are* the dict states).
-        use_indexed: run on the indexed array kernel
-            (:func:`repro.core.indexed.schedule_offsets`); False selects
-            the original dict-of-dict loops, retained as the reference
-            implementation for differential testing.
+            irredundant sets here).  Every tag must be an anchor vertex
+            of *graph*.
+        record_trace: keep per-iteration snapshots (Fig. 10).  The
+            snapshots *are* dict states, so a traced run executes on the
+            dict loops of :mod:`repro.core.reference`.
         deadline: absolute ``time.perf_counter()`` value after which the
-            run aborts with :class:`BudgetExceededError`; checked once
-            per round (the granularity of one relaxation sweep), so the
-            None fast path costs a single comparison.
+            run aborts with :class:`BudgetExceededError`; checked before
+            the run starts.
     """
 
     def __init__(self, graph: ConstraintGraph,
                  anchor_mode: AnchorMode = AnchorMode.FULL,
                  anchor_sets: Optional[AnchorSets] = None,
                  record_trace: bool = False,
-                 use_indexed: bool = True,
                  deadline: Optional[float] = None) -> None:
         self.graph = graph
         self.anchor_mode = anchor_mode
         self.anchor_sets = anchor_sets or anchor_sets_for_mode(graph, anchor_mode)
         self.record_trace = record_trace
-        self.use_indexed = use_indexed
         self.deadline = deadline
         self.trace: Optional[ScheduleTrace] = ScheduleTrace() if record_trace else None
-        self._order = graph.forward_topological_order()
 
     # ------------------------------------------------------------------
 
@@ -153,6 +147,8 @@ class IterativeIncrementalScheduler:
         """Compute the minimum relative schedule.
 
         Raises:
+            IndexedKernelUnsupported: the anchor sets name a tag that is
+                not an anchor vertex of the graph.
             InconsistentConstraintsError: after ``|Eb| + 1`` rounds with
                 violations remaining (Corollary 2).
         """
@@ -166,130 +162,32 @@ class IterativeIncrementalScheduler:
         fixpoint is a sound starting state (offsets only ever increase,
         Lemma 8), so the previous schedule's offsets restart the
         relaxation with unaffected regions converging immediately.
-        *previous* is reshaped to this scheduler's anchor sets --
+        *previous* is read against this scheduler's anchor sets --
         entries the sets do not track are dropped, newly tracked
         entries start at 0, negatives are clamped to 0.
 
-        Runs on the indexed array kernel under exactly the same
-        eligibility rule as :meth:`run` (falling back to the reference
-        dict loops only for anchor sets the compilation cannot
-        represent), so warm-start rescheduling is as fast as a cold run.
-
         Raises:
+            IndexedKernelUnsupported: as for :meth:`run`.
             InconsistentConstraintsError: after ``|Eb| + 1`` rounds with
                 violations remaining (Corollary 2).
         """
-        warm: OffsetState = {}
-        for vertex in self.graph.vertex_names():
-            old = previous.get(vertex, {})
-            warm[vertex] = {anchor: max(0, old.get(anchor, 0))
-                            for anchor in self.anchor_sets[vertex]}
-        return self._run(warm)
+        return self._run(previous)
 
-    def _run(self, warm: Optional[OffsetState]) -> RelativeSchedule:
+    def _run(self, initial: Optional[OffsetState]) -> RelativeSchedule:
         """The shared cold/warm driver behind :meth:`run` / :meth:`run_from`."""
-        tracer = _OBS.tracer
-        rec = tracer.enabled
         if (self.deadline is not None
                 and time.perf_counter() > self.deadline):
             raise BudgetExceededError(
                 "wall-clock deadline exceeded before scheduling started")
-        if self.use_indexed and not self.record_trace:
-            try:
-                schedule = self._run_indexed(warm)
-            except IndexedKernelUnsupported as reason:
-                # reference loops accept arbitrary anchor tags
-                if rec:
-                    tracer.count("kernel.fallbacks")
-                    tracer.event("kernel.fallback", reason=str(reason))
-            else:
-                if rec:
-                    tracer.count("kernel.indexed_runs")
-                    tracer.event("kernel.gate", use_indexed=True,
-                                 record_trace=False, decision="indexed")
-                    self._record_run(tracer, schedule.iterations,
-                                     warm is not None, "indexed")
-                return schedule
-        elif rec:
-            tracer.event("kernel.gate", use_indexed=self.use_indexed,
-                         record_trace=self.record_trace, decision="reference")
-        offsets: OffsetState = warm if warm is not None else {
-            vertex: {anchor: 0 for anchor in self.anchor_sets[vertex]}
-            for vertex in self.graph.vertex_names()
-        }
-        backward = self.graph.backward_edges()
-        max_rounds = len(backward) + 1
-        for round_index in range(1, max_rounds + 1):
-            if (self.deadline is not None
-                    and time.perf_counter() > self.deadline):
-                raise BudgetExceededError(
-                    f"wall-clock deadline exceeded after "
-                    f"{round_index - 1} scheduling round(s)")
-            before = _snapshot(offsets) if rec else {}
-            self._incremental_offset(offsets)
-            if rec:
-                relaxed = _count_raises(before, offsets)
-            computed = _snapshot(offsets) if self.record_trace else {}
-            violations = self._find_violations(offsets, backward)
-            if not violations:
-                if self.record_trace:
-                    self.trace.records.append(IterationRecord(
-                        round_index, computed, [], computed))
-                if rec:
-                    tracer.count("scheduler.relaxations", relaxed)
-                    tracer.event("scheduler.iteration", round=round_index,
-                                 violations=0, relaxations=relaxed,
-                                 kernel="reference")
-                    tracer.count("kernel.reference_runs")
-                    self._record_run(tracer, round_index,
-                                     warm is not None, "reference")
-                return RelativeSchedule(
-                    graph=self.graph, anchor_sets=self.anchor_sets,
-                    offsets=offsets, anchor_mode=self.anchor_mode,
-                    iterations=round_index)
-            if rec:
-                before = _snapshot(offsets)
-            self._readjust(offsets, violations)
-            if rec:
-                relaxed += _count_raises(before, offsets)
-                tracer.count("scheduler.relaxations", relaxed)
-                tracer.event("scheduler.iteration", round=round_index,
-                             violations=len(violations), relaxations=relaxed,
-                             kernel="reference")
-            if self.record_trace:
-                self.trace.records.append(IterationRecord(
-                    round_index, computed, violations, _snapshot(offsets)))
-        if rec:
-            tracer.count("kernel.reference_runs")
-            self._record_run(tracer, max_rounds, warm is not None,
-                             "reference", converged=False)
-        raise InconsistentConstraintsError(
-            f"no schedule after {max_rounds} iterations: timing constraints "
-            f"are inconsistent (Corollary 2)")
+        if self.record_trace:
+            from repro.core.reference import schedule_offsets_reference
 
-    def _record_run(self, tracer, iterations: int, warm: bool,
-                    kernel: str, converged: bool = True) -> None:
-        """Emit the per-run summary event and roll-up counters."""
-        backward = len(self.graph.backward_edges())
-        if tracer.enabled:  # callers guard; stay safe standalone
-            tracer.count("scheduler.runs")
-            tracer.count("scheduler.iterations", iterations)
-            tracer.event("scheduler.run", iterations=iterations,
-                         bound=backward + 1, backward_edges=backward,
-                         warm=warm, kernel=kernel, converged=converged)
-
-    def _run_indexed(self, initial: Optional[OffsetState] = None) -> RelativeSchedule:
-        """Run on the indexed array kernel (warm-started from *initial*
-        when given).
-
-        Raises:
-            IndexedKernelUnsupported: the anchor sets name a tag the
-                compilation does not know as an anchor; the caller falls
-                back to the reference dict loops, which accept arbitrary
-                tag names.  Any *other* exception -- a ``KeyError`` in
-                particular -- is a genuine kernel bug and propagates
-                instead of being masked as a silent slow-path result.
-        """
+            offsets, iterations = schedule_offsets_reference(
+                self.graph, self.anchor_sets, initial, trace=self.trace)
+            return RelativeSchedule(
+                graph=self.graph, anchor_sets=self.anchor_sets,
+                offsets=offsets, anchor_mode=self.anchor_mode,
+                iterations=iterations)
         from repro.core.indexed import schedule_offsets
 
         offsets, iterations, raw = schedule_offsets(
@@ -301,99 +199,19 @@ class IterativeIncrementalScheduler:
         # Raw rows let validate() certify without the dict round-trip,
         # as long as the graph has not mutated since.
         schedule._raw_offset_rows = (self.graph.version, raw)
+        tracer = _OBS.tracer
+        if tracer.enabled:
+            # The kernel reports inconsistent runs itself; a converged
+            # run's summary is emitted here.
+            backward = len(self.graph.backward_edges())
+            tracer.count("kernel.indexed_runs")
+            tracer.count("scheduler.runs")
+            tracer.count("scheduler.iterations", iterations)
+            tracer.event("scheduler.run", iterations=iterations,
+                         bound=backward + 1, backward_edges=backward,
+                         warm=initial is not None, kernel="indexed",
+                         converged=True)
         return schedule
-
-    # ------------------------------------------------------------------
-
-    def _incremental_offset(self, offsets: OffsetState) -> None:
-        """One longest-path sweep over the acyclic forward graph.
-
-        Offsets only ever increase (Lemma 8); each sweep relaxes every
-        forward edge once in topological order, so its cost is
-        ``O(|A| * |Ef|)``.
-        """
-        for vertex in self._order:
-            tracked = offsets[vertex]
-            for edge in self.graph.in_edges(vertex, forward_only=True):
-                weight = edge.static_weight
-                source_offsets = offsets[edge.tail]
-                for anchor, sigma in source_offsets.items():
-                    if anchor not in tracked:
-                        continue
-                    candidate = sigma + weight
-                    if candidate > tracked[anchor]:
-                        tracked[anchor] = candidate
-                # When the tail is itself an anchor tracked for this
-                # vertex, its own offset is normalized to 0
-                # (Definition 3), so the edge also implies
-                # sigma_tail(vertex) >= 0 + weight.  This covers both
-                # unbounded sequencing edges (weight 0) and bounded
-                # minimum constraints leaving an anchor.
-                if edge.tail in tracked and weight > tracked[edge.tail]:
-                    tracked[edge.tail] = weight
-
-    def _find_violations(self, offsets: OffsetState,
-                         backward: List[Edge]) -> List[Tuple[Edge, str]]:
-        """Backward edges whose inequality fails for some shared anchor."""
-        violations: List[Tuple[Edge, str]] = []
-        for edge in backward:
-            tail_offsets = self._with_self(offsets, edge.tail)
-            head_offsets = self._with_self(offsets, edge.head)
-            for anchor, sigma_tail in tail_offsets.items():
-                if anchor not in head_offsets:
-                    continue
-                if head_offsets[anchor] < sigma_tail + edge.weight:
-                    violations.append((edge, anchor))
-        return violations
-
-    def _with_self(self, offsets: OffsetState, vertex: str) -> Dict[str, int]:
-        """The tracked offsets of *vertex*, plus the implicit normalized
-        ``sigma_vertex(vertex) = 0`` when the vertex is an anchor."""
-        entries = offsets[vertex]
-        if self.graph.is_anchor(vertex) and vertex not in entries:
-            entries = dict(entries)
-            entries[vertex] = 0
-        return entries
-
-    def _readjust(self, offsets: OffsetState,
-                  violations: List[Tuple[Edge, str]]) -> None:
-        """Raise violated offsets by the minimum amount (ReadjustOffsets).
-
-        A violation whose anchor *is* the head vertex cannot be repaired
-        -- the head's own offset is pinned at 0 -- so it persists and
-        the iteration bound of Corollary 2 converts it into an
-        inconsistency report.
-        """
-        for edge, anchor in violations:
-            if anchor == edge.head:
-                continue
-            sigma_tail = self._with_self(offsets, edge.tail)[anchor]
-            required = sigma_tail + edge.weight
-            if offsets[edge.head].get(anchor, 0) < required:
-                offsets[edge.head][anchor] = required
-
-
-def _snapshot(offsets: OffsetState) -> OffsetState:
-    return {vertex: dict(entries) for vertex, entries in offsets.items()}
-
-
-def _count_raises(before: OffsetState, after: OffsetState) -> int:
-    """How many per-anchor offsets moved between two snapshots.
-
-    Offsets only ever increase (Lemma 8), so every difference is a
-    relaxation; entries absent from *before* (readjustment can introduce
-    them) count as raised from the implicit 0.
-    """
-    changed = 0
-    for vertex, entries in after.items():
-        old = before.get(vertex)
-        if old is None:
-            changed += sum(1 for sigma in entries.values() if sigma != 0)
-            continue
-        for anchor, sigma in entries.items():
-            if old.get(anchor, 0) != sigma:
-                changed += 1
-    return changed
 
 
 def schedule_graph(graph: ConstraintGraph,
@@ -401,7 +219,6 @@ def schedule_graph(graph: ConstraintGraph,
                    auto_well_pose: bool = True,
                    validate: bool = True,
                    record_trace: bool = False,
-                   use_indexed: bool = True,
                    watchdog: Optional[Dict[str, int]] = None,
                    deadline: Optional[float] = None) -> RelativeSchedule:
     """Run the paper's full four-step pipeline (Fig. 9) on *graph*.
@@ -427,7 +244,7 @@ def schedule_graph(graph: ConstraintGraph,
             returned schedule (``schedule.watchdog``) for the simulators
             and :meth:`RelativeSchedule.bounded_completion`.
         deadline: absolute ``time.perf_counter()`` value; checked
-            between pipeline stages and once per scheduler round.
+            between pipeline stages.
 
     Raises:
         UnfeasibleConstraintsError: positive cycle with delays at 0.
@@ -481,8 +298,7 @@ def schedule_graph(graph: ConstraintGraph,
             scheduler = IterativeIncrementalScheduler(
                 graph, anchor_mode=anchor_mode,
                 anchor_sets=anchor_sets_for_mode(graph, anchor_mode),
-                record_trace=record_trace, use_indexed=use_indexed,
-                deadline=deadline)
+                record_trace=record_trace, deadline=deadline)
             schedule = scheduler.run()
         finally:
             if rec:

@@ -22,8 +22,8 @@ waivers and severity mapping.
            re-create the lock (PR-7 ``budget_graph`` clone rule)
 ``DL107``  bare ``except:`` (masks ``SystemExit``/``KeyboardInterrupt``)
 ``DL108``  swallowed ``KeyError``/``IndexError`` on kernel paths
-           (PR-2 fallback-signal rule: raise
-           ``IndexedKernelUnsupported``, don't mask)
+           (raise ``IndexedKernelUnsupported`` or re-raise, don't
+           mask)
 ``DL109``  ``lock.acquire()`` statement without try/finally release
 ``DL110``  ``time.sleep`` while holding a lock
 ========  ==========================================================
@@ -500,7 +500,7 @@ def rule_swallowed_lookup(ctx: ModuleContext,
                 "DL108", node.lineno,
                 f"except {'/'.join(caught)} silently swallowed on a "
                 f"kernel path; raise IndexedKernelUnsupported (or "
-                f"re-raise) so the fallback gate sees the signal")
+                f"re-raise) so the caller sees the error")
 
 
 # ----------------------------------------------------------------------

@@ -8,10 +8,10 @@ what the CLI writes with ``--trace-out``, what CI uploads as an
 artifact, and what the fuzzing oracle asserts trace-level invariants
 against (e.g. every scheduler run's ``iterations <= bound``).
 
-Report schema (version 1)::
+Report schema (version 2)::
 
     {
-      "schema": 1,
+      "schema": 2,
       "counters": {name: int},
       "timers":   {name: {"total_ms": float, "count": int}},
       "spans":    [{"name", "start_ms", "duration_ms", "parent"}],
@@ -23,8 +23,7 @@ Report schema (version 1)::
         "iteration_events": [{"round", "violations", "relaxations",
                               "kernel"}],
       },
-      "kernel":  {"indexed_runs", "reference_runs", "fallbacks",
-                  "vectorized_rounds"},
+      "kernel":  {"indexed_runs", "reference_runs", "vectorized_rounds"},
       "cache":   {"hits", "misses", "invalidations", "hit_rate"},
       "wellposed": {"checks", "verdicts": {verdict: count}},
       "events":  [...]               # the raw event stream
@@ -39,11 +38,11 @@ from typing import Any, Dict, List, Optional
 from repro.observability.tracer import Tracer
 
 #: Bumped whenever a consumer-visible report field changes shape.
-REPORT_SCHEMA = 1
+REPORT_SCHEMA = 2
 
 
 def build_report(tracer: Tracer) -> Dict[str, Any]:
-    """Fold *tracer*'s records into the schema-1 run report dict."""
+    """Fold *tracer*'s records into the schema-2 run report dict."""
     counters = dict(tracer.counters)
     runs = [
         {
@@ -99,7 +98,6 @@ def build_report(tracer: Tracer) -> Dict[str, Any]:
         "kernel": {
             "indexed_runs": counters.get("kernel.indexed_runs", 0),
             "reference_runs": counters.get("kernel.reference_runs", 0),
-            "fallbacks": counters.get("kernel.fallbacks", 0),
             "vectorized_rounds": counters.get("kernel.vectorized_rounds", 0),
         },
         "cache": {
@@ -144,8 +142,7 @@ def format_summary(report: Dict[str, Any]) -> str:
                          f"iteration(s) (bound |Eb|+1 = {run['bound']}){warm}")
     kernel = report["kernel"]
     lines.append(f"  kernel: {kernel['indexed_runs']} indexed, "
-                 f"{kernel['reference_runs']} reference, "
-                 f"{kernel['fallbacks']} fallback(s)")
+                 f"{kernel['reference_runs']} reference")
     cache = report["cache"]
     rate = f"{cache['hit_rate']:.0%}" if cache["hit_rate"] is not None else "n/a"
     lines.append(f"  analysis cache: {cache['hits']} hit(s), "

@@ -16,7 +16,7 @@ into two halves with one shared contract:
   - **spans**: named, nested, wall-clock-timed sections (the Fig. 9
     pipeline phases),
   - **events**: point records with arbitrary fields (per-iteration
-    scheduler stats, kernel gate decisions, well-posedness verdicts),
+    scheduler stats, per-run kernel summaries, well-posedness verdicts),
   - **counters**: monotonically increasing named integers (cache
     hits/misses, relaxations, iterations),
   - **timers**: accumulated durations per name (phase totals across

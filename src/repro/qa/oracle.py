@@ -87,6 +87,7 @@ from repro.core.reference import (
     irredundant_anchors_reference,
     relevant_anchors_reference,
     schedule_graph_reference,
+    schedule_offsets_reference,
 )
 from repro.core.scheduler import IterativeIncrementalScheduler, schedule_graph
 from repro.core.wellposed import (
@@ -254,21 +255,21 @@ def check_warm_start(graph: ConstraintGraph, rng: random.Random) -> Optional[str
     warm_graph = base.copy()
     constraint.apply(warm_graph)
     anchor_sets = find_anchor_sets(warm_graph)
-    runs = {}
-    for label, use_indexed in (("indexed", True), ("dict", False)):
-        scheduler = IterativeIncrementalScheduler(
-            warm_graph.copy(), anchor_mode=AnchorMode.FULL,
-            anchor_sets=anchor_sets, use_indexed=use_indexed)
-        runs[label] = _outcome(lambda: scheduler.run_from(schedule.offsets))  # noqa: B023 - invoked immediately
-    (kind_i, res_i), (kind_d, res_d) = runs["indexed"], runs["dict"]
+    scheduler = IterativeIncrementalScheduler(
+        warm_graph.copy(), anchor_mode=AnchorMode.FULL,
+        anchor_sets=anchor_sets)
+    kind_i, res_i = _outcome(lambda: scheduler.run_from(schedule.offsets))
+    kind_d, res_d = _outcome(lambda: schedule_offsets_reference(
+        warm_graph.copy(), anchor_sets, schedule.offsets))
     if kind_i != kind_d:
         return f"warm kernels disagree: indexed {kind_i} != dict {kind_d}"
     if kind_i == "ok":
-        if res_i.offsets != res_d.offsets:
+        offsets_d, iterations_d = res_d
+        if res_i.offsets != offsets_d:
             return "warm kernels disagree on offsets"
-        if res_i.iterations != res_d.iterations:
+        if res_i.iterations != iterations_d:
             return (f"warm iteration accounting: indexed {res_i.iterations} "
-                    f"!= dict {res_d.iterations}")
+                    f"!= dict {iterations_d}")
     return None
 
 
@@ -650,12 +651,12 @@ def check_anomaly_freedom(graph: ConstraintGraph,
     and streamed through an :class:`~repro.runtime.OnlineExecutor` one
     event at a time.  After **every** prefix, each committed start must
     not exceed the static relative schedule's start under the full
-    observed profile -- issuing later would mean the incremental
-    reschedule manufactured a delay no completion justifies (an
-    *anomaly*).  On the complete stream the starts must *equal* the
-    static starts exactly, and the whole log must match a cycle-accurate
-    control simulation of the same profile (the two implementations
-    share only the watchdog arithmetic).
+    observed profile -- issuing later would mean the executor
+    manufactured a delay no completion justifies (an *anomaly*).  On
+    the complete stream the starts must *equal* the static starts
+    exactly, and the whole log must match a cycle-accurate control
+    simulation of the same profile (the two implementations share only
+    the watchdog arithmetic).
     """
     from repro.runtime.driver import replay_faults
     from repro.runtime.events import CompletionEvent

@@ -13,8 +13,8 @@ graph is well-formed.  This package drops those assumptions:
   never a silent wrong result;
 * :mod:`repro.resilience.guard` -- a hardened pipeline wrapper with run
   budgets (size caps, iteration caps against the Theorem 8 bound,
-  wall-clock deadlines), automatic indexed-to-reference kernel fallback,
-  and a strict validating loader for untrusted graph JSON;
+  wall-clock deadlines) and a strict validating loader for untrusted
+  graph JSON;
 * :mod:`repro.resilience.chaos` -- the seeded campaign driver
   (``python -m repro.resilience.chaos``) that runs fault-injection
   cases at scale and fails on any silent divergence;

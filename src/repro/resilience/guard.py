@@ -1,4 +1,4 @@
-"""Hardened entry points: run budgets, kernel fallback, untrusted input.
+"""Hardened entry points: run budgets and untrusted input.
 
 :func:`guarded_schedule` wraps :func:`repro.core.scheduler.schedule_graph`
 with a :class:`RunBudget`:
@@ -7,12 +7,11 @@ with a :class:`RunBudget`:
 * an **iteration cap** is checked against the Theorem 8 bound
   ``|Eb| + 1`` up front -- the bound is known before scheduling, so a
   graph that could exceed the cap is refused, not aborted halfway;
-* a **wall-clock deadline** is threaded through every pipeline stage
-  and checked once per scheduler round;
-* an internal error in the indexed kernel (a bug, not a taxonomy
-  rejection) triggers an automatic retry on the dict reference kernel,
-  counted on the tracer as ``guard.kernel_fallbacks`` so silent
-  fallbacks show up in run reports.
+* a **wall-clock deadline** is threaded through every pipeline stage.
+
+An internal error in the kernel (a bug, not a taxonomy rejection) is
+not retried on another kernel: it propagates, and the service answers
+it with a 500.
 
 :func:`load_untrusted_graph` parses graph JSON from outside the trust
 boundary: strict structural validation
@@ -30,15 +29,10 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.core.anchors import AnchorMode
-from repro.core.exceptions import (
-    BudgetExceededError,
-    ConstraintGraphError,
-    MalformedInputError,
-)
+from repro.core.exceptions import BudgetExceededError, MalformedInputError
 from repro.core.graph import ConstraintGraph
 from repro.core.schedule import RelativeSchedule
 from repro.core.scheduler import schedule_graph
-from repro.observability import STATE as _OBS
 
 
 @dataclass(frozen=True)
@@ -52,7 +46,7 @@ class RunBudget:
             exceeds this (the scheduler never iterates past the bound,
             so the check is exact and runs before any work).
         deadline_s: wall-clock seconds the run may take, checked between
-            pipeline stages and once per scheduler round.
+            pipeline stages.
     """
 
     max_vertices: Optional[int] = None
@@ -127,14 +121,11 @@ def guarded_schedule(graph: ConstraintGraph,
                      anchor_mode: AnchorMode = AnchorMode.IRREDUNDANT,
                      auto_well_pose: bool = True,
                      validate: bool = True) -> RelativeSchedule:
-    """Schedule *graph* under a :class:`RunBudget`, with kernel fallback.
+    """Schedule *graph* under a :class:`RunBudget`.
 
     Taxonomy rejections (ill-posed, unfeasible, over-budget, malformed)
-    propagate unchanged -- they are correct answers.  Any *other*
-    exception from the indexed kernel is treated as an internal kernel
-    error: the run is retried once on the dict reference kernel and the
-    fallback is counted on the active tracer (``guard.kernel_fallbacks``,
-    plus a ``guard.kernel_fallback`` event naming the error).
+    propagate unchanged -- they are correct answers -- and so does any
+    other exception: a kernel bug is not masked by a retry.
 
     Args:
         graph: the graph to schedule (validated against the budget's
@@ -155,27 +146,10 @@ def guarded_schedule(graph: ConstraintGraph,
     budget = budget or RunBudget()
     budget.check_size(graph)
     budget.check_iteration_bound(graph)
-    deadline = budget.absolute_deadline()
-
-    # schedule_graph never mutates its input (make_well_posed copies
-    # before serializing), so the retry below can reuse *graph* as-is.
-    def run(use_indexed: bool) -> RelativeSchedule:
-        return schedule_graph(
-            graph, anchor_mode=anchor_mode,
-            auto_well_pose=auto_well_pose, validate=validate,
-            use_indexed=use_indexed, watchdog=watchdog, deadline=deadline)
-
-    try:
-        return run(use_indexed=True)
-    except ConstraintGraphError:
-        raise
-    except Exception as error:
-        tracer = _OBS.tracer
-        if tracer.enabled:
-            tracer.count("guard.kernel_fallbacks")
-            tracer.event("guard.kernel_fallback",
-                         error=f"{type(error).__name__}: {error}")
-        return run(use_indexed=False)
+    return schedule_graph(
+        graph, anchor_mode=anchor_mode, auto_well_pose=auto_well_pose,
+        validate=validate, watchdog=watchdog,
+        deadline=budget.absolute_deadline())
 
 
 def load_untrusted_graph(source: Union[str, Path],

@@ -3,17 +3,16 @@
 The paper proves a minimum relative schedule is valid for *every*
 anchor-delay profile; this package cashes that in at run time.  An
 :class:`~repro.runtime.executor.OnlineExecutor` consumes an ordered
-stream of anchor-completion events, folds each observed delay into the
-constraint graph (:meth:`~repro.core.graph.ConstraintGraph.
-bind_anchor_delay`) and warm-starts the incremental scheduler from the
-previous offsets -- never re-solving from scratch -- so every
-operation's start is committed the moment its anchors have completed,
-at exactly the cycle the static schedule's ``start_times`` would give
-for the observed profile (the *anomaly-freedom* invariant, pinned by
-the qa oracle's 13th check).
+stream of anchor-completion events and solves nothing while doing so:
+every operation's start is committed from the static offsets the
+moment its anchors have completed, at exactly the cycle the static
+schedule's ``start_times`` would give for the observed profile (the
+*anomaly-freedom* invariant, pinned by the qa oracle's 13th check).
+The rebound schedule, with the observed delays folded into the graph,
+is computed only on demand (``OnlineExecutor.schedule``).
 
-Late or missing completions route through the PR-4 watchdog machinery
-with cycle-accurate simulator semantics; :mod:`repro.runtime.driver`
+Late or missing completions route through the watchdog machinery with
+cycle-accurate simulator semantics; :mod:`repro.runtime.driver`
 replays fault plans as event streams and diffs the executor against
 the control-unit simulation, and :mod:`repro.runtime.chaos` runs that
 differential at campaign scale.

@@ -56,7 +56,6 @@ class RuntimeCampaignStats:
     cases: int = 0
     unschedulable: int = 0
     events: int = 0
-    reschedules: int = 0
     aborted: int = 0
     degraded: int = 0
     completed: int = 0
@@ -71,7 +70,7 @@ class RuntimeCampaignStats:
         lines = [
             f"runtime chaos campaign: {self.cases} cases "
             f"({self.unschedulable} unschedulable), "
-            f"{self.events} events, {self.reschedules} warm reschedules",
+            f"{self.events} events",
             f"  completed: {self.completed}",
             f"  aborted:   {self.aborted}",
             f"  degraded:  {self.degraded}",
@@ -138,7 +137,6 @@ def run_campaign(start_seed: int, cases: int = 0, events: int = 0,
         stats.by_family[family] = stats.by_family.get(family, 0) + 1
         if replay.log is not None:
             stats.events += replay.log.events
-            stats.reschedules += replay.log.reschedules
             if replay.log.degraded:
                 stats.degraded += 1
             else:

@@ -53,8 +53,9 @@ class ExecutionLog:
             triggered it -- the per-prefix record the anomaly-freedom
             oracle replays.
         events: completion events consumed (spurious ones included).
-        reschedules: warm incremental reschedules performed (one per
-            accepted completion; never a from-scratch run).
+        reschedules: always 0 -- the executor issues from the static
+            offsets and never reschedules; kept because ``/execute`` and
+            ``/sessions`` clients read the key.
         timeouts: watchdog firings, in cycle order.
         degraded: True when a FALLBACK watchdog replaced the relative
             execution with the static worst-case schedule.

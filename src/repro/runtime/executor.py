@@ -1,36 +1,38 @@
-"""The online dynamic executor: live completion streams, warm reschedules.
+"""The online dynamic executor: live completion streams, no re-solve.
 
 The paper's central result is that a relative schedule stays valid for
 *every* anchor-delay profile -- which means a static schedule can be
-executed against live completion events without re-solving from
-scratch.  :class:`OnlineExecutor` does exactly that:
+executed against live completion events without solving anything at
+run time.  :class:`OnlineExecutor` does exactly that:
 
-* it holds the current *rebound* schedule -- the minimum relative
-  schedule of the graph with every observed anchor delay folded in as a
-  bound (:func:`repro.core.incremental.reschedule_with_observed`
-  semantics, run in place on the executor's own graph copy);
-* each accepted completion performs **one warm incremental reschedule**
-  (:meth:`~repro.core.scheduler.IterativeIncrementalScheduler.run_from`
-  from the previous offsets -- sound because observed delays only
-  lengthen paths, Lemma 8) and never a from-scratch run;
-* an operation *issues* the moment every anchor in its remaining anchor
-  set has completed, at ``max(done(a) + sigma_a(v))`` -- by the minimum
-  schedule's any-profile optimality this equals the static schedule's
+* an operation *issues* the moment every anchor in its static anchor
+  set has completed, at ``max(done(a) + sigma_a(v))`` over the
+  **static** offsets -- by the minimum schedule's any-profile
+  optimality this equals the static schedule's
   ``start_times(observed)[v]``, the **anomaly-freedom** invariant the
   qa oracle pins (no completion may delay another op's start relative
   to the static relative schedule);
-* late and missing completions route through the PR-4 watchdog
-  machinery with the same cycle-accurate boundary semantics as
-  :func:`repro.sim.control_sim.simulate_control` and the WAIT handling
-  of :func:`repro.sim.engine.execute_design`: a completion landing at
-  ``start + W(a)`` is in time, the watchdog fires one cycle later,
-  RETRY re-arms over :meth:`~repro.core.watchdog.WatchdogConfig.
-  rearm_window` windows, FALLBACK degrades to the static worst-case
-  schedule, ABORT raises the taxonomy error.
+* an accepted completion records its cycle and issues what it
+  unblocks; no scheduler runs, so the cost of an event is the issue
+  scan, not a relaxation;
+* the *rebound* schedule -- the minimum relative schedule of the graph
+  with every observed anchor delay folded in as a bound -- is computed
+  on demand by :attr:`OnlineExecutor.schedule`
+  (:func:`repro.core.incremental.reschedule_with_observed`); no issue
+  decision reads it;
+* late and missing completions route through the watchdog machinery
+  of :mod:`repro.core.watchdog` with the same cycle-accurate boundary
+  semantics as :func:`repro.sim.control_sim.simulate_control` and the
+  WAIT handling of :func:`repro.sim.engine.execute_design`: a
+  completion landing at ``start + W(a)`` is in time, the watchdog
+  fires one cycle later, RETRY re-arms over
+  :meth:`~repro.core.watchdog.WatchdogConfig.rearm_window` windows,
+  FALLBACK degrades to the static worst-case schedule, ABORT raises
+  the taxonomy error.
 
 The executor is deliberately event-driven, not cycle-driven: between
-events no work happens, so sustained throughput is bounded by the warm
-reschedule, which ``benchmarks/bench_runtime.py`` pins.
+events no work happens, and ``benchmarks/bench_runtime.py`` pins the
+per-event cost against a naive per-event re-solver.
 """
 
 from __future__ import annotations
@@ -42,11 +44,10 @@ if TYPE_CHECKING:
     from repro.core.graph import ConstraintGraph
     from repro.core.resultcache import ScheduleCache
 
-from repro.core.anchors import AnchorMode, anchor_sets_for_mode
 from repro.core.delay import is_unbounded
 from repro.core.exceptions import MalformedInputError, WatchdogTimeoutError
+from repro.core.incremental import reschedule_with_observed
 from repro.core.schedule import RelativeSchedule
-from repro.core.scheduler import IterativeIncrementalScheduler
 from repro.core.watchdog import WatchdogConfig, WatchdogPolicy, WatchdogTimeout
 from repro.observability.tracer import STATE as _OBS
 from repro.runtime.events import CompletionEvent, ExecutionLog, IssueRecord
@@ -82,16 +83,7 @@ class OnlineExecutor:
             watchdog = WatchdogConfig(bounds=schedule.watchdog)
         self.static = schedule
         self.watchdog = watchdog
-        self.schedule = schedule  # the current rebound schedule
         self.log = ExecutionLog()
-        self._graph = schedule.graph.copy()
-        self._mode = schedule.anchor_mode
-        # FULL-mode anchor sets update in O(V) per completion: binding
-        # an anchor makes it bounded without touching any path, so the
-        # new sets are exactly the old ones minus that anchor.  Other
-        # modes recompute (redundancy can change when weights move).
-        self._anchor_sets = (dict(schedule.anchor_sets)
-                             if self._mode is AnchorMode.FULL else None)
         self._source = schedule.graph.source
         self._anchors = set(schedule.graph.anchors)
         self._static_delta = {v.name: v.delay
@@ -125,6 +117,14 @@ class OnlineExecutor:
         return {a: self.log.done[a] - self.log.issues[a]
                 for a in self.log.done
                 if a != self._source and a in self._anchors}
+
+    @property
+    def schedule(self) -> RelativeSchedule:
+        """The rebound schedule: the minimum relative schedule of the
+        static graph with every :attr:`observed` delay folded in as a
+        bound, computed on each access.  Issuing never reads it (see
+        :meth:`_issue_ready`)."""
+        return reschedule_with_observed(self.static, self.observed)
 
     def state_snapshot(self) -> Dict[str, object]:
         """The executor's complete observable state, as plain data.
@@ -222,7 +222,12 @@ class OnlineExecutor:
             self.log.spurious_rejections += 1
             self._feed_seconds += time.perf_counter() - t0
             return
-        self._complete(anchor, cycle, index)
+        # Accept the completion, then issue what it unblocks.
+        self._deadlines.pop(anchor, None)
+        self.log.done[anchor] = cycle
+        self.log.cycles = max(self.log.cycles, cycle)
+        self._done[anchor] = cycle
+        self._issue_ready(index)
         self._feed_seconds += time.perf_counter() - t0
 
     def run(self, events: Iterable[CompletionEvent]) -> ExecutionLog:
@@ -258,47 +263,10 @@ class OnlineExecutor:
             seconds = max(self._feed_seconds, 1e-9)
             tracer.add_time("runtime.feed", self._feed_seconds)
             tracer.event("runtime.throughput", events=self.log.events,
-                         reschedules=self.log.reschedules,
                          events_per_sec=round(self.log.events / seconds, 1))
         return self.log
 
     # -- internals -----------------------------------------------------
-
-    def _complete(self, anchor: str, cycle: int, index: int) -> None:
-        """Accept a completion: rebind, warm-reschedule, issue."""
-        self._deadlines.pop(anchor, None)
-        self.log.done[anchor] = cycle
-        self.log.cycles = max(self.log.cycles, cycle)
-        self._done[anchor] = cycle
-        observed = cycle - self.log.issues[anchor]
-
-        tracer = _OBS.tracer
-        if tracer.enabled:
-            tracer.begin_span("runtime.reschedule")
-        try:
-            self._graph.bind_anchor_delay(anchor, observed)
-            if self._anchor_sets is not None:
-                self._anchor_sets = {
-                    v: (tags - {anchor} if anchor in tags else tags)
-                    for v, tags in self._anchor_sets.items()}
-                anchor_sets = self._anchor_sets
-            else:
-                anchor_sets = anchor_sets_for_mode(self._graph, self._mode)
-            # The reference dict loops beat the indexed kernel 2x+ here
-            # at every graph size: a warm restart converges in a sweep
-            # or two, while the indexed path would recompile its arrays
-            # at every event (the rebind bumps the graph version).
-            scheduler = IterativeIncrementalScheduler(
-                self._graph, anchor_mode=self._mode, anchor_sets=anchor_sets,
-                use_indexed=False)
-            self.schedule = scheduler.run_from(self.schedule.offsets)
-        finally:
-            if tracer.enabled:
-                tracer.end_span()
-        self.log.reschedules += 1
-        if tracer.enabled:
-            tracer.count("runtime.reschedules")
-        self._issue_ready(index)
 
     def _issue_ready(self, event_index: int) -> None:
         """Issue every operation whose anchors have all completed.

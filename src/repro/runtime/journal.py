@@ -163,7 +163,7 @@ class SessionJournal:
             "watchdog": watchdog,
             "source_done": source_done,
             "auto_well_pose": auto_well_pose,
-        })
+        }, genesis=True)
 
     def append_events(self, seq: int,
                       events: List[Tuple[str, int]]) -> None:
@@ -193,8 +193,11 @@ class SessionJournal:
             os.close(fd)
 
     def _append(self, record: Dict[str, Any], *,
-                force_sync: bool = False) -> None:
+                force_sync: bool = False, genesis: bool = False) -> None:
         """One whole-line durable append (the ScheduleCache discipline).
+
+        Only the *genesis* record creates the journal's directory; every
+        later record appends to a file that already lives there.
 
         A failed or short write raises :class:`JournalWriteError`: the
         caller must not acknowledge the batch.  Unlike the schedule
@@ -205,7 +208,8 @@ class SessionJournal:
                    + "\n").encode("utf-8")
         with self._lock:
             try:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
+                if genesis:
+                    self.path.parent.mkdir(parents=True, exist_ok=True)
                 fd = os.open(self.path,
                              os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
                 try:

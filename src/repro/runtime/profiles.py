@@ -3,7 +3,7 @@
 The resilience chaos campaign samples anchor delays uniformly; the
 online executor's interesting failure modes cluster elsewhere -- at the
 watchdog boundary, in bursts that pile many completions onto one cycle,
-and in long quiet runs where warm reschedules must stay cheap.  Each
+and in long quiet runs where per-event cost must stay flat.  Each
 *family* here is a deterministic per-anchor delay sampler parameterized
 by the watchdog bound ``W``, so every sampled profile is meaningfully
 positioned relative to the detection boundary:

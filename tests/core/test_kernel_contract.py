@@ -1,16 +1,17 @@
 """The scheduler <-> indexed-kernel error contract and warm-start entry.
 
-Two regressions pinned here:
+Pinned here:
 
 * ``IterativeIncrementalScheduler`` used to swallow *every* ``KeyError``
   from the indexed kernel as "fall back to the reference loops", so a
-  genuine kernel bug silently produced slow-path results.  The fallback
-  is now gated on the dedicated :class:`IndexedKernelUnsupported`
-  exception and a planted ``KeyError`` must propagate.
+  genuine kernel bug silently produced slow-path results.  There is no
+  fallback any more: a planted ``KeyError`` propagates, and anchor sets
+  the kernel cannot represent raise the dedicated
+  :class:`IndexedKernelUnsupported` taxonomy error.
 * ``incremental._run_from`` used to drive the scheduler's private dict
   loops directly, bypassing the indexed kernel for every warm-start
   reschedule.  The public :meth:`IterativeIncrementalScheduler.run_from`
-  now routes warm starts through the same kernel selection as ``run``.
+  now runs warm starts on the same kernel as ``run``.
 """
 
 import random
@@ -20,9 +21,10 @@ import pytest
 import repro.core.indexed as indexed_module
 from repro.core.anchors import AnchorMode, anchor_sets_for_mode
 from repro.core.constraints import MinTimingConstraint
-from repro.core.exceptions import IndexedKernelUnsupported
+from repro.core.exceptions import ConstraintGraphError, IndexedKernelUnsupported
 from repro.core.graph import ConstraintGraph
 from repro.core.incremental import add_constraint_incremental
+from repro.core.reference import schedule_offsets_reference
 from repro.core.scheduler import IterativeIncrementalScheduler, schedule_graph
 from repro.core.delay import UNBOUNDED
 from repro.designs.random_graphs import random_constraint_graph
@@ -62,16 +64,17 @@ class TestKernelErrorContract:
         with pytest.raises(KeyError, match="planted kernel bug"):
             scheduler.run_from(schedule.offsets)
 
-    def test_unsupported_anchor_tags_fall_back(self, small_graph):
-        """Anchor sets with non-anchor tags still schedule via the
-        reference loops (the documented fallback reason)."""
+    def test_non_anchor_tags_raise_from_run(self, small_graph):
+        """Anchor sets naming a bounded vertex are a malformed request:
+        ``run()`` raises the taxonomy error instead of falling back."""
         custom = {name: frozenset({"s"}) if name != "s" else frozenset()
                   for name in small_graph.vertex_names()}
         custom["y"] = frozenset({"s", "x"})  # "x" is bounded: not an anchor
         scheduler = IterativeIncrementalScheduler(
             small_graph, anchor_sets=custom)
-        schedule = scheduler.run()
-        assert schedule.offsets["y"]["x"] == 2
+        with pytest.raises(IndexedKernelUnsupported, match="'x'"):
+            scheduler.run()
+        assert issubclass(IndexedKernelUnsupported, ConstraintGraphError)
 
     def test_kernel_raises_dedicated_exception(self, small_graph):
         custom = {name: frozenset({"x"}) for name in small_graph.vertex_names()}
@@ -142,10 +145,9 @@ class TestWarmStartEntryPoint:
         constraint.apply(warm_graph)
         anchor_sets = anchor_sets_for_mode(warm_graph, AnchorMode.FULL)
         warm_indexed = IterativeIncrementalScheduler(
-            warm_graph, AnchorMode.FULL, anchor_sets=anchor_sets,
-            use_indexed=True).run_from(schedule.offsets)
-        warm_dict = IterativeIncrementalScheduler(
-            warm_graph, AnchorMode.FULL, anchor_sets=anchor_sets,
-            use_indexed=False).run_from(schedule.offsets)
-        assert warm_indexed.offsets == warm_dict.offsets
-        assert warm_indexed.iterations == warm_dict.iterations
+            warm_graph, AnchorMode.FULL,
+            anchor_sets=anchor_sets).run_from(schedule.offsets)
+        dict_offsets, dict_iterations = schedule_offsets_reference(
+            warm_graph, anchor_sets, schedule.offsets)
+        assert warm_indexed.offsets == dict_offsets
+        assert warm_indexed.iterations == dict_iterations

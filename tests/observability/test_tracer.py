@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.anchors import AnchorMode
 from repro.core.graph import ConstraintGraph
+from repro.core.reference import schedule_graph_reference
 from repro.core.scheduler import IterativeIncrementalScheduler, schedule_graph
 from repro.designs.random_graphs import random_constraint_graph
 from repro.observability import (
@@ -57,7 +58,7 @@ class TestDisabledPathIsFree:
     def test_reference_kernel_never_calls_a_disabled_tracer(self):
         graph = _graph(seed=12, n=40)
         with use_tracer(SentinelTracer()):
-            schedule = schedule_graph(graph, use_indexed=False)
+            schedule = schedule_graph_reference(graph)
         assert schedule.iterations >= 1
 
     def test_flow_paths_never_call_a_disabled_tracer(self):
@@ -80,17 +81,18 @@ class TestDisabledPathIsFree:
 
 
 class TestRecordingTracerReconciles:
-    @pytest.mark.parametrize("use_indexed", [True, False])
-    def test_iteration_counter_matches_schedule(self, use_indexed):
+    @pytest.mark.parametrize("kernel, pipeline", [
+        ("indexed", schedule_graph), ("reference", schedule_graph_reference)])
+    def test_iteration_counter_matches_schedule(self, kernel, pipeline):
         graph = _graph(seed=21)
         with trace_run() as tracer:
-            schedule = schedule_graph(graph, use_indexed=use_indexed)
+            schedule = pipeline(graph)
         assert tracer.counter("scheduler.iterations") == schedule.iterations
         runs = tracer.events_named("scheduler.run")
         assert len(runs) == 1
         assert runs[0]["iterations"] == schedule.iterations
         assert runs[0]["converged"] is True
-        assert runs[0]["kernel"] == ("indexed" if use_indexed else "reference")
+        assert runs[0]["kernel"] == kernel
         assert runs[0]["bound"] == len(schedule.graph.backward_edges()) + 1
         iteration_events = tracer.events_named("scheduler.iteration")
         assert len(iteration_events) == schedule.iterations
@@ -101,13 +103,13 @@ class TestRecordingTracerReconciles:
         """Per-round violation counts are kernel-independent."""
         graph = _graph(seed=22)
         stats = {}
-        for use_indexed in (True, False):
+        for pipeline in (schedule_graph, schedule_graph_reference):
             with trace_run() as tracer:
-                schedule_graph(graph.copy(), use_indexed=use_indexed)
-            stats[use_indexed] = [
+                pipeline(graph.copy())
+            stats[pipeline] = [
                 (e["round"], e["violations"])
                 for e in tracer.events_named("scheduler.iteration")]
-        assert stats[True] == stats[False]
+        assert stats[schedule_graph] == stats[schedule_graph_reference]
 
     def test_warm_restart_records_zero_relaxations(self):
         graph = _graph(seed=23)

@@ -147,7 +147,6 @@ class TestReplayDifferential:
         stats = run_campaign(start_seed=1, events=60)
         assert stats.silent == 0, stats.anomalies
         assert stats.events >= 60
-        assert stats.reschedules <= stats.events
 
     def test_campaign_covers_every_policy_outcome(self):
         rng = random.Random(0)

@@ -10,11 +10,12 @@ import random
 
 import pytest
 
-from repro.core.anchors import AnchorMode, anchor_sets_for_mode
+import repro.core.indexed as indexed_module
+from repro.core.anchors import AnchorMode
 from repro.core.delay import UNBOUNDED
 from repro.core.exceptions import MalformedInputError, WatchdogTimeoutError
 from repro.core.graph import ConstraintGraph
-from repro.core.scheduler import schedule_graph
+from repro.core.scheduler import IterativeIncrementalScheduler, schedule_graph
 from repro.core.watchdog import WatchdogConfig, WatchdogPolicy
 from repro.designs.random_graphs import random_constraint_graph
 from repro.resilience.guard import guarded_schedule
@@ -96,11 +97,33 @@ class TestAnomalyFreedom:
             assert log.issues == schedule.start_times(profile)
             checked += 1
 
-    def test_one_warm_reschedule_per_accepted_completion(self):
-        schedule = chain_schedule()
-        log = OnlineExecutor(schedule).run(stream_for(schedule, {"io": 2}))
-        assert log.events == 1
-        assert log.reschedules == 1
+    def test_feeding_a_stream_runs_no_scheduler(self, monkeypatch):
+        # The static offsets are valid for every profile, so neither
+        # feed() nor close() may solve anything.
+        rng = random.Random(5)
+        graph = random_constraint_graph(
+            rng, 40, edge_probability=0.15, unbounded_probability=0.35)
+        schedule = guarded_schedule(graph, anchor_mode=AnchorMode.FULL)
+        anchors = [a for a in schedule.graph.anchors
+                   if a != schedule.graph.source]
+        assert len(anchors) >= 2
+        profile = {a: rng.randint(0, 9) for a in anchors}
+        events = stream_for(schedule, profile)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the executor ran a scheduler")
+
+        monkeypatch.setattr(indexed_module, "schedule_offsets", no_solve)
+        monkeypatch.setattr(IterativeIncrementalScheduler, "run_from",
+                            no_solve)
+        executor = OnlineExecutor(schedule)
+        for event in events:
+            executor.feed(event)
+        log = executor.close()
+        assert log.complete
+        assert log.issues == schedule.start_times(profile)
+        assert log.events == len(events)
+        assert log.reschedules == 0
 
     def test_source_done_shifts_everything(self):
         schedule = chain_schedule()
@@ -305,20 +328,21 @@ class TestWatchdogBoundaries:
         assert executor.watchdog.policy is WatchdogPolicy.ABORT
 
 
-class TestIncrementalAnchorSets:
-    def test_full_mode_sets_match_recomputation(self):
-        # Binding anchor a in FULL mode shrinks every set by exactly
-        # {a}; the executor maintains that incrementally.  Pin it
-        # against a from-scratch recomputation on the rebound graph.
+class TestReboundSchedule:
+    @pytest.mark.parametrize("mode", [AnchorMode.FULL,
+                                      AnchorMode.IRREDUNDANT])
+    def test_rebound_schedule_matches_scratch_after_every_prefix(self, mode):
+        # executor.schedule folds the observed delays into the graph;
+        # after every prefix it must equal a from-scratch run on the
+        # rebound graph, offsets and anchor sets alike.
         rng = random.Random(9)
         checked = 0
-        while checked < 5:
+        while checked < 4:
             graph = random_constraint_graph(
                 rng, rng.randint(15, 45),
                 edge_probability=0.15, unbounded_probability=0.35)
             try:
-                schedule = guarded_schedule(graph,
-                                            anchor_mode=AnchorMode.FULL)
+                schedule = guarded_schedule(graph, anchor_mode=mode)
             except Exception:
                 continue
             anchors = [a for a in schedule.graph.anchors
@@ -329,15 +353,14 @@ class TestIncrementalAnchorSets:
             executor = OnlineExecutor(schedule)
             for event in stream_for(schedule, profile):
                 executor.feed(event)
-                assert executor._anchor_sets == anchor_sets_for_mode(
-                    executor._graph, AnchorMode.FULL)
+                rebound = schedule.graph.copy()
+                for anchor, delay in executor.observed.items():
+                    rebound.bind_anchor_delay(anchor, delay)
+                scratch = schedule_graph(rebound, anchor_mode=mode)
+                current = executor.schedule
+                assert current.offsets == scratch.offsets
+                assert current.anchor_sets == scratch.anchor_sets
+            assert executor.observed == profile
+            # Issue cycles are mode-invariant (Theorem 6).
+            assert executor.close().issues == schedule.start_times(profile)
             checked += 1
-
-    def test_irredundant_mode_recomputes(self):
-        schedule = schedule_graph(chain_graph(),
-                                  anchor_mode=AnchorMode.IRREDUNDANT)
-        executor = OnlineExecutor(schedule)
-        assert executor._anchor_sets is None
-        log = executor.run(stream_for(schedule, {"io": 3}))
-        # Issue cycles are mode-invariant (Theorem 6).
-        assert log.issues == schedule.start_times({"io": 3})

@@ -69,7 +69,7 @@ class TestExecuteRoundTrips:
         expected = execute_stream(chain_schedule(), [("io", cycle)])
         assert body["log"] == expected.to_dict()
         assert body["log"]["complete"] is True
-        assert body["log"]["reschedules"] == 1
+        assert body["log"]["reschedules"] == 0  # issuing never re-solves
 
     def test_events_as_objects(self, client):
         cycle = io_start() + 1
