@@ -28,8 +28,8 @@ rejection.
 
 INPUT is either a HardwareC source file (anything not ending in
 ``.json``) or a JSON artifact produced by :mod:`repro.io` (a design or a
-constraint graph).  For hierarchical designs the commands operate on the
-root graph after bottom-up scheduling.
+constraint graph, validated on load).  For hierarchical designs the
+commands operate on the root graph after bottom-up scheduling.
 
 Every sub-command reports pipeline failures uniformly: a
 :class:`~repro.core.exceptions.ConstraintGraphError` (the whole taxonomy
@@ -215,7 +215,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     """
     import json as _json
 
-    from repro.lint import LintConfig, LintEngine, apply_fixes, to_sarif
+    from repro.lint import LintConfig, LintEngine, apply_fixes, sarif_json
     from repro.seqgraph.model import Design
 
     select = (frozenset(p.strip() for p in args.select.split(",") if p.strip())
@@ -260,8 +260,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
             report = engine.lint_graph(artifact, file=args.input)
 
     if args.format == "sarif":
-        rendered = _json.dumps(to_sarif(report, artifact_uri=args.input),
-                               indent=2) + "\n"
+        rendered = sarif_json(report, artifact_uri=args.input)
     elif args.format == "json":
         payload = report.to_json()
         payload["input"] = args.input
@@ -293,8 +292,8 @@ def cmd_devlint(args: argparse.Namespace) -> int:
     """
     import json as _json
 
-    from repro.devlint import lint_paths
-    from repro.devlint.sarif import sarif_json, to_sarif
+    from repro.devlint import DRIVER, lint_paths, with_sanitizer_findings
+    from repro.lint.sarif import sarif_json
 
     select = [code.strip() for code in args.select.split(",")
               if code.strip()] if args.select else None
@@ -304,14 +303,10 @@ def cmd_devlint(args: argparse.Namespace) -> int:
     if args.sanitizer_report:
         with open(args.sanitizer_report) as handle:
             sanitizer = _json.load(handle)
-
-    sanitizer_errors = 0
-    if sanitizer and sanitizer.get("enabled"):
-        sanitizer_errors = (len(sanitizer.get("cycles", []))
-                            + len(sanitizer.get("io_findings", [])))
+    folded = with_sanitizer_findings(report, sanitizer)
 
     if args.format == "sarif":
-        rendered = sarif_json(report, sanitizer=sanitizer) + "\n"
+        rendered = sarif_json(folded, driver=DRIVER)
     elif args.format == "json":
         payload = report.to_json()
         payload["paths"] = list(args.paths)
@@ -333,7 +328,7 @@ def cmd_devlint(args: argparse.Namespace) -> int:
         print(f"devlint report written to {args.output}")
     else:
         print(rendered, end="")
-    return 1 if (report.errors() or sanitizer_errors) else 0
+    return 1 if folded.errors() else 0
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
@@ -362,8 +357,8 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 def cmd_schedule_many(args: argparse.Namespace) -> int:
     """Batched scheduling of a JSONL corpus of serialized graphs.
 
-    INPUT holds one :mod:`repro.qa.serialize` graph dict per line (the
-    fuzzer's wire format).  The whole corpus goes through
+    INPUT holds one :func:`repro.io.graph_to_dict` graph dict per line
+    (the service's wire format).  The whole corpus goes through
     :func:`repro.core.batch.schedule_many` -- shared arena, isomorphism
     dedup, optional persistent cache -- and each graph reports its own
     verdict; the exit code is 1 iff any graph failed.  The global
@@ -373,7 +368,7 @@ def cmd_schedule_many(args: argparse.Namespace) -> int:
     import json as _json
 
     from repro.core.batch import schedule_many
-    from repro.qa.serialize import graph_from_dict
+    from repro.io import graph_from_dict
 
     graphs = []
     with open(args.input) as handle:
@@ -854,7 +849,7 @@ def build_parser() -> argparse.ArgumentParser:
     many = sub.add_parser("schedule-many",
                           help="batched scheduling of a JSONL corpus of "
                                "serialized graphs")
-    many.add_argument("input", help="JSONL file, one qa.serialize graph "
+    many.add_argument("input", help="JSONL file, one serialized graph "
                                     "dict per line")
     many.add_argument("--cache", metavar="FILE",
                       help="persistent schedule cache (append-only JSONL, "

@@ -27,10 +27,9 @@ times computed from any of the three sets (Theorems 4-6).
 from __future__ import annotations
 
 import enum
-from typing import Dict, FrozenSet, Mapping, Optional
+from typing import Dict, FrozenSet
 
 from repro.core.graph import ConstraintGraph
-from repro.core.paths import NO_PATH
 
 #: Anchor sets map each vertex name to a frozen set of anchor names.
 AnchorSets = Dict[str, FrozenSet[str]]
@@ -103,12 +102,7 @@ def relevant_anchors(graph: ConstraintGraph) -> AnchorSets:
         lambda: masks_to_sets(get_indexed(graph), relevant_masks(graph)))
 
 
-def irredundant_anchors(
-    graph: ConstraintGraph,
-    anchor_sets: Optional[AnchorSets] = None,
-    relevant: Optional[AnchorSets] = None,
-    lengths: Optional[Mapping[str, Mapping[str, Optional[int]]]] = None,
-) -> AnchorSets:
+def irredundant_anchors(graph: ConstraintGraph) -> AnchorSets:
     """Compute ``IR(v)`` for every vertex (the paper's ``minimumAnchor``).
 
     An anchor ``x`` of ``v`` is *redundant* (Definition 11) when some
@@ -126,56 +120,19 @@ def irredundant_anchors(
     graphs where no backward edge escapes an anchored region this equals
     the full-graph ``length(a, b)``.
 
-    Pre-computed *anchor_sets*, *relevant* sets, and anchor-to-vertex
-    *lengths* tables may be supplied to avoid recomputation.
-
     Complexity: dominated by the longest-path tables,
     ``O(|A| * |V| * |E|)`` here (the paper quotes ``O(|V| * |E|)`` per
-    anchor); the scan itself is ``O(|R|^2)`` per vertex.
-
-    With no pre-computed tables supplied, the whole computation runs on
-    the indexed kernel (bitmask scan over memoised per-slot worklist
-    distance arrays) and is cached per graph version.
+    anchor); the scan itself is ``O(|R|^2)`` per vertex.  The whole
+    computation runs on the indexed kernel (bitmask scan over memoised
+    per-slot worklist distance arrays) and is cached per graph version;
+    :func:`repro.core.reference.irredundant_anchors_reference` is the
+    dict-of-dict scan it is tested against.
     """
-    from repro.core.paths import anchored_longest_paths
+    from repro.core.indexed import get_indexed, irredundant_masks, masks_to_sets
 
-    if anchor_sets is None and relevant is None and lengths is None:
-        from repro.core.indexed import get_indexed, irredundant_masks, masks_to_sets
-
-        return graph.cached(
-            "irredundant_sets",
-            lambda: masks_to_sets(get_indexed(graph), irredundant_masks(graph)))
-
-    if anchor_sets is None:
-        anchor_sets = find_anchor_sets(graph)
-    if relevant is None:
-        relevant = relevant_anchors(graph)
-    if lengths is None:
-        lengths = {anchor: anchored_longest_paths(graph, anchor, anchor_sets)
-                   for anchor in graph.anchors}
-
-    irredundant: Dict[str, FrozenSet[str]] = {}
-    for vertex in graph.vertex_names():
-        candidates = relevant[vertex]
-        redundant = set()
-        for r in candidates:
-            # Anchors of v that are, in turn, anchors of r: they complete
-            # before r does, so r may dominate them.
-            for x in candidates:
-                if x == r or x not in anchor_sets[r]:
-                    continue
-                through = _sum_lengths(lengths[x].get(r), lengths[r].get(vertex))
-                direct = lengths[x].get(vertex)
-                if direct is not NO_PATH and through is not NO_PATH and direct <= through:
-                    redundant.add(x)
-        irredundant[vertex] = frozenset(candidates - redundant)
-    return irredundant
-
-
-def _sum_lengths(a: Optional[int], b: Optional[int]) -> Optional[int]:
-    if a is NO_PATH or b is NO_PATH:
-        return NO_PATH
-    return a + b
+    return graph.cached(
+        "irredundant_sets",
+        lambda: masks_to_sets(get_indexed(graph), irredundant_masks(graph)))
 
 
 def anchor_sets_for_mode(graph: ConstraintGraph, mode: AnchorMode) -> AnchorSets:

@@ -70,7 +70,7 @@ class GraphStructureError(ConstraintGraphError):
 class MalformedInputError(GraphStructureError):
     """Untrusted serialized input failed strict validation.
 
-    Raised by :func:`repro.qa.serialize.validate_graph_dict` (and the
+    Raised by :func:`repro.io.validate_graph_dict` (and the
     loaders built on it) for structurally broken graph JSON: missing
     keys, wrong types, NaN or out-of-range weights, duplicate edges,
     self-loops.  A subclass of :class:`GraphStructureError` so every

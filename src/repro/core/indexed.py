@@ -1146,13 +1146,6 @@ def find_offset_violation(
     return VIOLATION, _violation_witness(idx, table, found)
 
 
-def schedule_satisfies_constraints(graph: ConstraintGraph,
-                                   offsets: Dict[str, Dict[str, int]]) -> bool:
-    """Compatibility wrapper: True iff the vectorized pass certifies the
-    schedule (see :func:`find_offset_violation` for the witness form)."""
-    return find_offset_violation(graph, offsets)[0] == CERTIFIED
-
-
 def certify_offset_lists(graph: ConstraintGraph,
                          rows: List[List[int]]) -> bool:
     """The vectorized edge check over the scheduler's raw offset rows

@@ -96,13 +96,6 @@ def longest_paths_from(graph: ConstraintGraph, start: str,
     return longest_paths_indexed(graph, start)
 
 
-def _dag_longest_from(graph: ConstraintGraph, start: str) -> Dict[str, Optional[int]]:
-    """Longest forward-path lengths from *start* (indexed topological sweep)."""
-    from repro.core.indexed import dag_longest_from
-
-    return dag_longest_from(graph, start)
-
-
 def length(graph: ConstraintGraph, tail: str, head: str) -> Optional[int]:
     """The paper's ``length(tail, head)``: longest weighted path in the
     full graph with unbounded weights at 0, or :data:`NO_PATH`."""

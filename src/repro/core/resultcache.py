@@ -59,7 +59,7 @@ CACHE_FORMAT = 1
 #: cache file must not balloon memory by declaring huge rows.
 _MAX_VERTICES = 1 << 20
 _MAX_ANCHORS = 1 << 16
-_MAX_OFFSET = 1 << 53  # matches qa.serialize.MAX_ABS_WEIGHT
+_MAX_OFFSET = 1 << 53  # matches repro.io.MAX_ABS_WEIGHT
 
 
 class ScheduleCache:

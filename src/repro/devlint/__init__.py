@@ -8,32 +8,32 @@ with the opt-in lock-order sanitizer of :mod:`repro.sanitize`
 (``REPRO_SANITIZE=1``).  See DESIGN.md section 15.
 """
 
-from repro.devlint.engine import iter_python_files, lint_paths, lint_source
+from repro.devlint.engine import (
+    DRIVER,
+    iter_python_files,
+    lint_paths,
+    lint_source,
+    with_sanitizer_findings,
+)
 from repro.devlint.rules import (
     ALL_RULES,
     DECLARED_ROOTS,
     DECLARED_STDLIB_PASSTHROUGH,
     RULE_CATALOGUE,
     RULE_CODES,
-)
-from repro.devlint.sarif import (
     SANITIZER_RULES,
-    TOOL_NAME,
-    sarif_json,
-    to_sarif,
 )
 
 __all__ = [
     "ALL_RULES",
     "DECLARED_ROOTS",
     "DECLARED_STDLIB_PASSTHROUGH",
+    "DRIVER",
     "RULE_CATALOGUE",
     "RULE_CODES",
     "SANITIZER_RULES",
-    "TOOL_NAME",
     "iter_python_files",
     "lint_paths",
     "lint_source",
-    "sarif_json",
-    "to_sarif",
+    "with_sanitizer_findings",
 ]

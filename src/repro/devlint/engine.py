@@ -16,14 +16,16 @@ from __future__ import annotations
 
 import os
 import re
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.lint.diagnostics import Diagnostic, LintReport, Severity, Span
+from repro.lint.sarif import SarifDriver
 from repro.devlint.rules import (
     ALL_RULES,
     ModuleContext,
     ProjectContext,
     RULE_CATALOGUE,
+    SANITIZER_RULES,
 )
 
 _WAIVER = re.compile(r"#\s*devlint:\s*disable=([A-Z0-9, ]+)")
@@ -34,7 +36,17 @@ _SEVERITY_OF: Dict[str, Severity] = {
 
 _CITATION_OF: Dict[str, str] = {
     code: citation
-    for code, _name, _summary, citation, _severity in RULE_CATALOGUE}
+    for code, _name, _summary, citation, _severity
+    in RULE_CATALOGUE + SANITIZER_RULES}
+
+#: devlint's SARIF driver (for :func:`repro.lint.sarif.to_sarif`): the
+#: AST rules plus the sanitizer finding kinds; any error result marks
+#: the run unsuccessful.
+DRIVER = SarifDriver("repro-devlint", tuple(
+    (code, name, summary,
+     f"Enforces: {citation}. See DESIGN.md section 15.", severity)
+    for code, name, summary, citation, severity
+    in RULE_CATALOGUE + SANITIZER_RULES), errors_fail=True)
 
 
 def iter_python_files(paths: Iterable[str]) -> List[str]:
@@ -137,3 +149,28 @@ def lint_paths(paths: Sequence[str], *,
         notes.append(f"{waived_total} finding(s) waived by "
                      f"devlint:disable comments")
     return LintReport(tuple(diagnostics), tuple(notes))
+
+
+def with_sanitizer_findings(report: LintReport,
+                            sanitizer: Optional[Dict[str, Any]]
+                            ) -> LintReport:
+    """*report* plus an enabled :func:`repro.sanitize.report` dict's
+    lock-order cycles and blocking-I/O findings, appended as SANLOCK /
+    SANIO error diagnostics.  They carry no location (they are
+    dynamic-order facts); the witness call chains ride in the message.
+    """
+    if not sanitizer or not sanitizer.get("enabled"):
+        return report
+    found = [Diagnostic(
+        code="SANLOCK", severity=Severity.ERROR,
+        citation=_CITATION_OF["SANLOCK"],
+        message=f"lock acquisition-order cycle {cycle['path']} "
+                f"(witnesses: {'; '.join(cycle['witnesses'])})")
+        for cycle in sanitizer.get("cycles", [])]
+    found.extend(Diagnostic(
+        code="SANIO", severity=Severity.ERROR,
+        citation=_CITATION_OF["SANIO"],
+        message=f"blocking {finding['kind']} ({finding['detail']}) while "
+                f"holding {finding['locks']} at {finding['witness']}")
+        for finding in sanitizer.get("io_findings", []))
+    return LintReport(report.diagnostics + tuple(found), report.notes)

@@ -77,6 +77,19 @@ RULE_CATALOGUE: Tuple[Tuple[str, str, str, str, str], ...] = (
 
 RULE_CODES: Tuple[str, ...] = tuple(code for code, *_ in RULE_CATALOGUE)
 
+#: The two runtime-sanitizer finding kinds, appended to the AST rule
+#: catalogue so sanitizer results resolve to SARIF descriptors too.
+SANITIZER_RULES: Tuple[Tuple[str, str, str, str, str], ...] = (
+    ("SANLOCK", "lock-order-cycle",
+     "a cycle in the global lock acquisition-order graph "
+     "(potential deadlock)",
+     "REPRO_SANITIZE lock-order sanitizer", "error"),
+    ("SANIO", "blocking-io-under-lock",
+     "blocking I/O (fsync/flock/socket/sleep) while holding an "
+     "in-process lock not declared io_ok",
+     "REPRO_SANITIZE lock-order sanitizer", "error"),
+)
+
 #: Tracer methods that *record* (vs. query methods like ``counter``).
 TRACER_EMIT_METHODS = frozenset(
     {"span", "event", "count", "add_time", "begin_span", "end_span"})

@@ -2,41 +2,64 @@
 
 Round-trippable dictionaries (and file helpers) for the artifacts a
 synthesis flow wants to persist: lowered constraint graphs, computed
-relative schedules, and hierarchical designs.  The format is versioned
-and self-describing (a ``kind`` tag per document) so
-:func:`load_json` can dispatch.
+relative schedules, and hierarchical designs.  Every document carries
+a ``kind`` tag and a ``version`` so :func:`load_json` can dispatch.
 
-Unbounded delays serialize as the string ``"unbounded"``; everything
-else is plain JSON scalars and lists.
+Constraint graphs have exactly one codec, used by the CLI, the service
+wire format, session journals and the regression corpus alike:
+
+* :func:`graph_to_dict` writes vertices and edges in insertion order,
+  so the rebuilt graph iterates identically (every analysis walks
+  vertices and edges in insertion order, so a graph equal only up to
+  reordering could behave differently).  Unbounded delays are spelled
+  ``"unbounded"``.  An edge carries a ``weight`` only when the weight is
+  its own datum: minimum constraints, and maximum constraints stored as
+  their backward graph edge ``(to, from)`` with weight ``-u``.
+  Sequencing and serialization weights are ``delta(tail)`` by
+  construction, so decoding re-derives them.
+* :func:`graph_from_dict` validates first (:func:`validate_graph_dict`):
+  missing keys, wrong types, NaN or astronomically large weights,
+  self-loops, duplicate vertices and undeclared endpoints all raise
+  :class:`~repro.core.exceptions.MalformedInputError` (a taxonomy
+  error, so the CLI prints ``error: ...``) instead of leaking
+  ``KeyError`` / ``TypeError`` from deep inside reconstruction.
+  *Strict* mode -- for input from outside the trust boundary -- also
+  rejects exact duplicate edges; the default keeps them, because
+  parallel edges are legal in the graph model.  The decoder also reads
+  the two older graph shapes: ``format: 1`` with a ``weight`` on every
+  edge (the regression corpus, older journals), and ``kind``/``version``
+  with no ``weight`` on unbounded edges.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, IO, List, Union
+from typing import Any, Dict, IO, Union
 
 from repro.core.anchors import AnchorMode
 from repro.core.constraints import MaxTimingConstraint, MinTimingConstraint
 from repro.core.delay import UNBOUNDED, Delay, is_unbounded
+from repro.core.exceptions import ConstraintGraphError, MalformedInputError
 from repro.core.graph import ConstraintGraph, EdgeKind
 from repro.core.schedule import RelativeSchedule
 from repro.seqgraph.model import Design, OpKind, Operation, SequencingGraph
 
 FORMAT_VERSION = 1
 
+#: Largest weight/delay magnitude accepted from serialized input.  All
+#: analyses do exact integer arithmetic, so correctness is not at risk;
+#: the cap stops adversarial inputs from driving longest-path sums into
+#: numbers whose mere formatting is quadratic.  2**53 is far beyond any
+#: cycle count that can be simulated and is exactly representable even
+#: if a consumer lowers weights to doubles.
+MAX_ABS_WEIGHT = 2 ** 53
+
 _UNBOUNDED_TOKEN = "unbounded"
 
-
-def _delay_out(delay: Delay) -> Union[int, str]:
-    return _UNBOUNDED_TOKEN if is_unbounded(delay) else delay
-
-
-def _delay_in(value: Union[int, str]) -> Delay:
-    if value == _UNBOUNDED_TOKEN:
-        return UNBOUNDED
-    if isinstance(value, int):
-        return value
-    raise ValueError(f"bad delay value {value!r}")
+#: Edge kinds whose weight is ``delta(tail)``: decoding re-derives it.
+_DERIVED_KINDS = frozenset({EdgeKind.SEQUENCING.value,
+                            EdgeKind.SERIALIZATION.value})
+_KINDS = {kind.value: kind for kind in EdgeKind}
 
 
 # ----------------------------------------------------------------------
@@ -45,17 +68,25 @@ def _delay_in(value: Union[int, str]) -> Delay:
 
 
 def graph_to_dict(graph: ConstraintGraph) -> Dict[str, Any]:
-    """Serialize a constraint graph."""
-    vertices = [{"name": v.name, "delay": _delay_out(v.delay),
-                 **({"tag": v.tag} if v.tag else {})}
-                for v in graph.vertices()]
-    edges: List[Dict[str, Any]] = []
+    """Serialize a constraint graph (see the module docs)."""
+    vertices = []
+    for vertex in graph.vertices():
+        record: Dict[str, Any] = {
+            "name": vertex.name,
+            "delay": (_UNBOUNDED_TOKEN if is_unbounded(vertex.delay)
+                      else vertex.delay),
+        }
+        if vertex.tag is not None:
+            record["tag"] = vertex.tag
+        vertices.append(record)
+    edges = []
     for edge in graph.edges():
-        entry: Dict[str, Any] = {"tail": edge.tail, "head": edge.head,
-                                 "kind": edge.kind.value}
-        if not edge.is_unbounded:
-            entry["weight"] = edge.weight
-        edges.append(entry)
+        kind = edge.kind.value
+        if kind in _DERIVED_KINDS:
+            edges.append({"tail": edge.tail, "head": edge.head, "kind": kind})
+        else:
+            edges.append({"tail": edge.tail, "head": edge.head, "kind": kind,
+                          "weight": edge.weight})
     return {
         "kind": "constraint_graph",
         "version": FORMAT_VERSION,
@@ -66,34 +97,187 @@ def graph_to_dict(graph: ConstraintGraph) -> Dict[str, Any]:
     }
 
 
-def graph_from_dict(data: Dict[str, Any]) -> ConstraintGraph:
-    """Reconstruct a constraint graph serialized by :func:`graph_to_dict`."""
-    _expect(data, "constraint_graph")
+def _check_weight(value: Any, what: str, *, allow_negative: bool) -> None:
+    """One serialized delay/weight: ``"unbounded"`` or a sane integer."""
+    if value == _UNBOUNDED_TOKEN:
+        return
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MalformedInputError(
+            f"{what} must be an integer or \"unbounded\", got {value!r}")
+    if not allow_negative and value < 0:
+        raise MalformedInputError(f"{what} must be non-negative, got {value}")
+    if abs(value) > MAX_ABS_WEIGHT:
+        raise MalformedInputError(
+            f"{what} magnitude {abs(value)} exceeds the cap 2**53")
+
+
+def validate_graph_dict(data: Any, *, strict: bool = False) -> None:
+    """Structurally validate a serialized graph before rebuilding it.
+
+    Checks everything :func:`graph_from_dict` would otherwise trip over
+    at an arbitrary depth: the document kind and version, required
+    keys, value types, NaN / non-integer / oversized weights, duplicate
+    vertex names, self-loop edges, undeclared edge endpoints, unknown
+    edge kinds, a missing weight on a minimum or maximum constraint,
+    and a source or sink missing from the vertex list.
+
+    Args:
+        data: the candidate payload (any JSON value).
+        strict: additionally reject exact duplicate edges.  Off by
+            default because parallel edges are legal in the graph model
+            and every legitimate round-trip must keep succeeding.
+
+    Raises:
+        MalformedInputError: naming the first problem found.
+    """
+    if not isinstance(data, dict):
+        raise MalformedInputError(
+            f"serialized graph must be an object, got {type(data).__name__}")
+    if data.get("kind", "constraint_graph") != "constraint_graph":
+        raise MalformedInputError(
+            f"expected a 'constraint_graph' document, got {data['kind']!r}")
+    for key in ("version", "format"):
+        if data.get(key, FORMAT_VERSION) != FORMAT_VERSION:
+            raise MalformedInputError(
+                f"serialized graph declares {key} {data[key]!r}; this "
+                f"build reads {key} {FORMAT_VERSION}")
+    missing = [key for key in ("source", "sink", "vertices", "edges")
+               if key not in data]
+    if missing:
+        raise MalformedInputError(
+            f"serialized graph misses required key(s) {missing}")
+    source, sink = data["source"], data["sink"]
+    for label, value in (("source", source), ("sink", sink)):
+        if not isinstance(value, str) or not value:
+            raise MalformedInputError(
+                f"serialized graph {label} must be a non-empty string, "
+                f"got {value!r}")
+    if not isinstance(data["vertices"], list):
+        raise MalformedInputError("serialized graph \"vertices\" must be a list")
+    if not isinstance(data["edges"], list):
+        raise MalformedInputError("serialized graph \"edges\" must be a list")
+
+    names = set()
+    for index, record in enumerate(data["vertices"]):
+        if not isinstance(record, dict):
+            raise MalformedInputError(
+                f"vertex #{index} must be an object, got {type(record).__name__}")
+        if "name" not in record or "delay" not in record:
+            raise MalformedInputError(
+                f"vertex #{index} misses required key(s) "
+                f"{[k for k in ('name', 'delay') if k not in record]}")
+        name = record["name"]
+        if not isinstance(name, str) or not name:
+            raise MalformedInputError(
+                f"vertex #{index} name must be a non-empty string, got {name!r}")
+        if name in names:
+            raise MalformedInputError(f"duplicate vertex {name!r}")
+        names.add(name)
+        _check_weight(record["delay"], f"delay of vertex {name!r}",
+                      allow_negative=False)
+        if "tag" in record and not isinstance(record["tag"], str):
+            raise MalformedInputError(
+                f"tag of vertex {name!r} must be a string, got {record['tag']!r}")
+    for label, value in (("source", source), ("sink", sink)):
+        if value not in names:
+            raise MalformedInputError(
+                f"{label} {value!r} is not in the vertex list")
+
+    seen_edges = set()
+    for index, record in enumerate(data["edges"]):
+        if not isinstance(record, dict):
+            raise MalformedInputError(
+                f"edge #{index} must be an object, got {type(record).__name__}")
+        kind = record.get("kind")
+        known = isinstance(kind, str) and kind in _KINDS
+        missing = [k for k in ("tail", "head", "kind") if k not in record]
+        if known and kind not in _DERIVED_KINDS and "weight" not in record:
+            missing.append("weight")
+        if missing:
+            raise MalformedInputError(
+                f"edge #{index} misses required key(s) {missing}")
+        tail, head = record["tail"], record["head"]
+        for end, value in (("tail", tail), ("head", head)):
+            if not isinstance(value, str):
+                raise MalformedInputError(
+                    f"edge #{index} {end} must be a string, got {value!r}")
+            if value not in names:
+                raise MalformedInputError(
+                    f"edge #{index} {end} {value!r} is not a declared vertex")
+        if tail == head:
+            raise MalformedInputError(
+                f"edge #{index} is a self-loop on {tail!r}")
+        if not known:
+            raise MalformedInputError(
+                f"edge #{index} has unknown kind {kind!r} "
+                f"(expected one of {sorted(_KINDS)})")
+        if "weight" in record:
+            _check_weight(record["weight"], f"weight of edge #{index}",
+                          allow_negative=True)
+        if strict:
+            key = (tail, head, kind,
+                   None if kind in _DERIVED_KINDS else str(record["weight"]))
+            if key in seen_edges:
+                raise MalformedInputError(
+                    f"edge #{index} duplicates an earlier "
+                    f"{kind} edge {tail!r}->{head!r}")
+            seen_edges.add(key)
+
+
+def graph_from_dict(data: Any, *, strict: bool = False) -> ConstraintGraph:
+    """Rebuild the graph serialized by :func:`graph_to_dict`.
+
+    Vertices and edges are re-added in the recorded order through the
+    public construction API, so derived weights (sequencing and
+    serialization edges carry ``delta(tail)``) are re-derived and the
+    rebuilt graph is indistinguishable from the original.
+
+    The payload is validated first (:func:`validate_graph_dict`, once);
+    any problem -- structural, or caught later by the graph
+    construction API -- surfaces as a taxonomy error, never a raw
+    ``KeyError`` / ``TypeError``.
+    """
+    validate_graph_dict(data, strict=strict)
+    try:
+        return _graph_from_valid_dict(data)
+    except ConstraintGraphError:
+        raise
+    except (KeyError, TypeError, ValueError) as error:
+        raise MalformedInputError(
+            f"serialized graph failed to reconstruct: "
+            f"{type(error).__name__}: {error}") from error
+
+
+def _delay_from_json(value: Any) -> Delay:
+    """A validated delay: ``"unbounded"`` or a non-negative integer."""
+    return UNBOUNDED if value == _UNBOUNDED_TOKEN else value
+
+
+def _graph_from_valid_dict(data: Dict[str, Any]) -> ConstraintGraph:
     source = data["source"]
     sink = data["sink"]
-    by_name = {entry["name"]: entry for entry in data["vertices"]}
+    records = data["vertices"]
+    sink_delay = next(record["delay"] for record in records
+                      if record["name"] == sink)
     graph = ConstraintGraph(source=source, sink=sink,
-                            sink_delay=_delay_in(by_name[sink]["delay"]))
-    for entry in data["vertices"]:
-        if entry["name"] in (source, sink):
+                            sink_delay=_delay_from_json(sink_delay))
+    for record in records:
+        if record["name"] in (source, sink):
             continue
-        graph.add_operation(entry["name"], _delay_in(entry["delay"]),
-                            tag=entry.get("tag"))
-    for entry in data["edges"]:
-        kind = EdgeKind(entry["kind"])
+        graph.add_operation(record["name"], _delay_from_json(record["delay"]),
+                            tag=record.get("tag"))
+    for record in data["edges"]:
+        kind = _KINDS[record["kind"]]
+        tail, head = record["tail"], record["head"]
         if kind is EdgeKind.SEQUENCING:
-            graph.add_sequencing_edge(entry["tail"], entry["head"])
-        elif kind is EdgeKind.SERIALIZATION:
-            graph.add_serialization_edge(entry["tail"], entry["head"])
+            graph.add_sequencing_edge(tail, head)
         elif kind is EdgeKind.MIN_TIME:
-            graph.add_min_constraint(entry["tail"], entry["head"],
-                                     entry["weight"])
+            graph.add_min_constraint(tail, head, record["weight"])
         elif kind is EdgeKind.MAX_TIME:
-            # stored as the backward edge (to, from) with weight -u
-            graph.add_max_constraint(entry["head"], entry["tail"],
-                                     -entry["weight"])
-        else:  # pragma: no cover - enum is exhaustive
-            raise ValueError(f"unknown edge kind {kind!r}")
+            # Stored as the backward graph edge (to, from) with -u.
+            graph.add_max_constraint(head, tail, -record["weight"])
+        else:
+            graph.add_serialization_edge(tail, head)
     return graph
 
 
@@ -258,9 +442,16 @@ def to_dict(obj: Any) -> Dict[str, Any]:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def from_dict(data: Dict[str, Any]) -> Any:
-    """Reconstruct any supported artifact from its dict."""
-    kind = data.get("kind")
+def from_dict(data: Any) -> Any:
+    """Reconstruct any supported artifact from its dict.
+
+    A document without a ``kind`` tag goes to the graph decoder: the
+    ``format: 1`` graph shape of the regression corpus carries none,
+    and anything else it rejects as malformed.
+    """
+    if not isinstance(data, dict) or "kind" not in data:
+        return graph_from_dict(data)
+    kind = data["kind"]
     deserializer = _DESERIALIZERS.get(kind)
     if deserializer is None:
         raise ValueError(f"unknown document kind {kind!r}")

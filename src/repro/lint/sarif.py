@@ -1,13 +1,19 @@
-"""SARIF 2.1.0 rendering of lint reports.
+"""SARIF 2.1.0 rendering of lint and devlint reports.
 
 Emits the subset of SARIF every mainstream consumer (GitHub code
 scanning, VS Code SARIF viewer) reads: one run, a tool driver with the
 full rule catalogue as ``reportingDescriptor`` entries, and one result
 per diagnostic with logical locations (graph / vertex coordinates) and
-physical locations when HDL source provenance exists.  Graph-mutation
-fixes cannot be expressed as SARIF text replacements, so they ride in
-each result's property bag (``properties.fix``) alongside the theorem
-citation.
+physical locations (a source file and line, from HDL provenance or a
+devlint finding).  Graph-mutation fixes cannot be expressed as SARIF
+text replacements, so they ride in each result's property bag
+(``properties.fix``) alongside the citation.
+
+This is the one emitter of both linters: each passes its
+:class:`SarifDriver` (name, rule catalogue with help texts, and whether
+an error result marks the run unsuccessful).  An ``invocations`` entry
+appears when there is something to say: tool notifications (the
+report's notes) or an unsuccessful run.
 
 The bundled ``sarif_schema.json`` is a trimmed JSON Schema for this
 subset; ``tests/lint/test_sarif.py`` validates every emitted log
@@ -18,6 +24,7 @@ one does on these documents, as the trimmed schema is a restriction).
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -44,30 +51,44 @@ RULE_CATALOGUE: Tuple[Tuple[str, str, str, str, str], ...] = tuple(
 )
 
 
-def _rule_descriptors() -> List[Dict[str, Any]]:
-    descriptors = []
-    for code, name, summary, citation, severity in RULE_CATALOGUE:
-        level = "note" if severity == "info" else severity
-        descriptors.append({
-            "id": code,
-            "name": name,
-            "shortDescription": {"text": summary},
-            "help": {"text": f"Enforces: {citation} "
-                             f"(Ku & De Micheli, DAC 1990). See "
-                             f"docs/THEORY.md and DESIGN.md section 10."},
-            "defaultConfiguration": {"level": level},
-        })
-    return descriptors
+@dataclass(frozen=True)
+class SarifDriver:
+    """One tool driver of the emitted log.
+
+    Attributes:
+        name: the driver name (``repro-lint``, ``repro-devlint``).
+        rules: the rule catalogue in descriptor order, as (code, name,
+            summary, help text, default severity) tuples.
+        errors_fail: report the invocation unsuccessful when any
+            result is an error (devlint's CI gate reads it).
+    """
+
+    name: str
+    rules: Tuple[Tuple[str, str, str, str, str], ...]
+    errors_fail: bool = False
 
 
-def _rule_index(code: str) -> int:
-    for position, (rule_code, *_rest) in enumerate(RULE_CATALOGUE):
-        if rule_code == code:
-            return position
-    return -1
+#: The graph linter's driver: every rule's help cites its paper result.
+LINT_DRIVER = SarifDriver(TOOL_NAME, tuple(
+    (code, name, summary,
+     f"Enforces: {citation} (Ku & De Micheli, DAC 1990). See "
+     f"docs/THEORY.md and DESIGN.md section 10.", severity)
+    for code, name, summary, citation, severity in RULE_CATALOGUE))
 
 
-def _result(diagnostic: Diagnostic, artifact_uri: Optional[str]) -> Dict[str, Any]:
+def _rule_descriptors(driver: SarifDriver) -> List[Dict[str, Any]]:
+    return [{
+        "id": code,
+        "name": name,
+        "shortDescription": {"text": summary},
+        "help": {"text": help_text},
+        "defaultConfiguration": {
+            "level": "note" if severity == "info" else severity},
+    } for code, name, summary, help_text, severity in driver.rules]
+
+
+def _result(diagnostic: Diagnostic, rule_index: Optional[int],
+            artifact_uri: Optional[str]) -> Dict[str, Any]:
     span = diagnostic.span
     location: Dict[str, Any] = {}
     uri = span.file if span.file is not None else artifact_uri
@@ -100,39 +121,44 @@ def _result(diagnostic: Diagnostic, artifact_uri: Optional[str]) -> Dict[str, An
         "message": {"text": diagnostic.message},
         "properties": properties,
     }
-    index = _rule_index(diagnostic.code)
-    if index >= 0:
-        result["ruleIndex"] = index
+    if rule_index is not None:
+        result["ruleIndex"] = rule_index
     if location:
         result["locations"] = [location]
     return result
 
 
 def to_sarif(report: LintReport, *,
-             artifact_uri: Optional[str] = None) -> Dict[str, Any]:
+             artifact_uri: Optional[str] = None,
+             driver: SarifDriver = LINT_DRIVER) -> Dict[str, Any]:
     """The SARIF 2.1.0 log object for *report*.
 
     Args:
         report: the lint report to render.
         artifact_uri: URI of the linted input (used for results whose
             span has no file of its own).
+        driver: the tool driver (default: the graph linter's).
     """
-    notifications = [{"level": "note", "message": {"text": note}}
-                     for note in report.notes]
+    rule_index = {rule[0]: position
+                  for position, rule in enumerate(driver.rules)}
     run: Dict[str, Any] = {
         "tool": {"driver": {
-            "name": TOOL_NAME,
+            "name": driver.name,
             "informationUri": "https://github.com/",
-            "rules": _rule_descriptors(),
+            "rules": _rule_descriptors(driver),
         }},
-        "results": [_result(d, artifact_uri) for d in report.diagnostics],
+        "results": [_result(d, rule_index.get(d.code), artifact_uri)
+                    for d in report.diagnostics],
         "columnKind": "utf16CodeUnits",
     }
-    if notifications:
-        run["invocations"] = [{
-            "executionSuccessful": True,
-            "toolExecutionNotifications": notifications,
-        }]
+    successful = not (driver.errors_fail and report.errors())
+    if report.notes or not successful:
+        invocation: Dict[str, Any] = {"executionSuccessful": successful}
+        if report.notes:
+            invocation["toolExecutionNotifications"] = [
+                {"level": "note", "message": {"text": note}}
+                for note in report.notes]
+        run["invocations"] = [invocation]
     return {
         "$schema": SARIF_SCHEMA_URI,
         "version": SARIF_VERSION,
@@ -141,10 +167,11 @@ def to_sarif(report: LintReport, *,
 
 
 def sarif_json(report: LintReport, *,
-               artifact_uri: Optional[str] = None) -> str:
+               artifact_uri: Optional[str] = None,
+               driver: SarifDriver = LINT_DRIVER) -> str:
     """:func:`to_sarif` serialized with a trailing newline."""
-    return json.dumps(to_sarif(report, artifact_uri=artifact_uri),
-                      indent=2) + "\n"
+    return json.dumps(to_sarif(report, artifact_uri=artifact_uri,
+                               driver=driver), indent=2) + "\n"
 
 
 def load_trimmed_schema() -> Dict[str, Any]:

@@ -726,7 +726,7 @@ def check_crash_recovery(graph: ConstraintGraph,
     import tempfile
 
     from repro.core.watchdog import WatchdogPolicy
-    from repro.qa.serialize import graph_to_dict
+    from repro.io import graph_to_dict
     from repro.resilience.recovery import journal_stream, verify_crash_points
 
     schedule = _schedulable(graph)

@@ -1,28 +1,11 @@
-"""JSON (de)serialization of constraint graphs for the regression corpus.
+"""Regression-corpus files: a shrunk failing graph plus its divergence.
 
-A serialized graph is a plain dict (stable key order, JSON-friendly
-types) that reconstructs the graph *exactly*: same vertex insertion
-order, same edge insertion order, same delays, weights and edge kinds.
+Graphs go through the one constraint-graph codec of :mod:`repro.io`
+(re-exported here): the rebuilt graph has the same vertex and edge
+insertion order, delays, weights and edge kinds as the original.
 Determinism matters because every analysis iterates vertices and edges
 in insertion order, so a repro that only matched up to reordering could
 fail to reproduce the divergence it was shrunk for.
-
-Unbounded delays/weights are spelled ``"unbounded"``; maximum timing
-constraints are stored as their graph edge (the backward ``(to, from)``
-edge with weight ``-u``) and rebuilt through the public
-:meth:`ConstraintGraph.add_max_constraint` API.
-
-Deserialization validates structurally before touching the graph API
-(:func:`validate_graph_dict`): missing keys, wrong types, NaN or
-astronomically large weights, self-loops, duplicate vertices and
-undeclared edge endpoints all raise
-:class:`~repro.core.exceptions.MalformedInputError` (a taxonomy error
-the CLI contract already covers) instead of leaking ``KeyError`` /
-``TypeError`` from deep inside reconstruction.  *Strict* mode -- for
-input from outside the trust boundary -- additionally rejects exact
-duplicate edges; the default mode keeps them, because parallel edges
-are legal in the graph model and round-tripping a legitimate graph must
-never fail.
 """
 
 from __future__ import annotations
@@ -31,230 +14,18 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Union
 
-from repro.core.delay import UNBOUNDED, Delay, is_unbounded
-from repro.core.exceptions import ConstraintGraphError, MalformedInputError
-from repro.core.graph import ConstraintGraph, EdgeKind
+from repro.core.graph import ConstraintGraph
+from repro.io import (
+    FORMAT_VERSION,
+    MAX_ABS_WEIGHT,
+    graph_from_dict,
+    graph_to_dict,
+    validate_graph_dict,
+)
 
-#: Schema version stamped into every repro file, so a future format
-#: change can keep replaying the existing corpus.
-FORMAT_VERSION = 1
-
-#: Largest weight/delay magnitude accepted from serialized input.  All
-#: analyses do exact integer arithmetic, so correctness is not at risk;
-#: the cap stops adversarial inputs from driving longest-path sums into
-#: numbers whose mere formatting is quadratic.  2**53 is far beyond any
-#: cycle count that can be simulated and is exactly representable even
-#: if a consumer lowers weights to doubles.
-MAX_ABS_WEIGHT = 2 ** 53
-
-
-def _delay_to_json(delay: Delay) -> Union[int, str]:
-    return "unbounded" if is_unbounded(delay) else int(delay)
-
-
-def _delay_from_json(value: Union[int, str]) -> Delay:
-    return UNBOUNDED if value == "unbounded" else int(value)
-
-
-def graph_to_dict(graph: ConstraintGraph) -> Dict[str, Any]:
-    """Serialize *graph* to a JSON-compatible dict (see module docs)."""
-    vertices = []
-    for vertex in graph.vertices():
-        record: Dict[str, Any] = {
-            "name": vertex.name,
-            "delay": _delay_to_json(vertex.delay),
-        }
-        if vertex.tag is not None:
-            record["tag"] = vertex.tag
-        vertices.append(record)
-    edges = []
-    for edge in graph.edges():
-        edges.append({
-            "tail": edge.tail,
-            "head": edge.head,
-            "weight": _delay_to_json(edge.weight),
-            "kind": edge.kind.value,
-        })
-    return {
-        "format": FORMAT_VERSION,
-        "source": graph.source,
-        "sink": graph.sink,
-        "vertices": vertices,
-        "edges": edges,
-    }
-
-
-def _check_weight(value: Any, what: str, *, allow_negative: bool) -> None:
-    """One serialized delay/weight: ``"unbounded"`` or a sane integer."""
-    if value == "unbounded":
-        return
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise MalformedInputError(
-            f"{what} must be an integer or \"unbounded\", got {value!r}")
-    if not allow_negative and value < 0:
-        raise MalformedInputError(f"{what} must be non-negative, got {value}")
-    if abs(value) > MAX_ABS_WEIGHT:
-        raise MalformedInputError(
-            f"{what} magnitude {abs(value)} exceeds the cap 2**53")
-
-
-def validate_graph_dict(data: Any, *, strict: bool = False) -> None:
-    """Structurally validate a serialized graph before rebuilding it.
-
-    Checks everything :func:`graph_from_dict` would otherwise trip over
-    at an arbitrary depth: required keys, value types, NaN / non-integer
-    / oversized weights, duplicate vertex names, self-loop edges,
-    undeclared edge endpoints, unknown edge kinds, and a source or sink
-    missing from the vertex list.
-
-    Args:
-        data: the candidate payload (any JSON value).
-        strict: additionally reject exact duplicate edges.  Off by
-            default because parallel edges are legal in the graph model
-            and every legitimate round-trip must keep succeeding.
-
-    Raises:
-        MalformedInputError: naming the first problem found.
-    """
-    if not isinstance(data, dict):
-        raise MalformedInputError(
-            f"serialized graph must be an object, got {type(data).__name__}")
-    missing = [key for key in ("source", "sink", "vertices", "edges")
-               if key not in data]
-    if missing:
-        raise MalformedInputError(
-            f"serialized graph misses required key(s) {missing}")
-    if "format" in data and data["format"] != FORMAT_VERSION:
-        raise MalformedInputError(
-            f"serialized graph declares format {data['format']!r}; this "
-            f"build reads format {FORMAT_VERSION}")
-    source, sink = data["source"], data["sink"]
-    for label, value in (("source", source), ("sink", sink)):
-        if not isinstance(value, str) or not value:
-            raise MalformedInputError(
-                f"serialized graph {label} must be a non-empty string, "
-                f"got {value!r}")
-    if not isinstance(data["vertices"], list):
-        raise MalformedInputError("serialized graph \"vertices\" must be a list")
-    if not isinstance(data["edges"], list):
-        raise MalformedInputError("serialized graph \"edges\" must be a list")
-
-    names = set()
-    for index, record in enumerate(data["vertices"]):
-        if not isinstance(record, dict):
-            raise MalformedInputError(
-                f"vertex #{index} must be an object, got {type(record).__name__}")
-        if "name" not in record or "delay" not in record:
-            raise MalformedInputError(
-                f"vertex #{index} misses required key(s) "
-                f"{[k for k in ('name', 'delay') if k not in record]}")
-        name = record["name"]
-        if not isinstance(name, str) or not name:
-            raise MalformedInputError(
-                f"vertex #{index} name must be a non-empty string, got {name!r}")
-        if name in names:
-            raise MalformedInputError(f"duplicate vertex {name!r}")
-        names.add(name)
-        _check_weight(record["delay"], f"delay of vertex {name!r}",
-                      allow_negative=False)
-        if "tag" in record and not isinstance(record["tag"], str):
-            raise MalformedInputError(
-                f"tag of vertex {name!r} must be a string, got {record['tag']!r}")
-    for label, value in (("source", source), ("sink", sink)):
-        if value not in names:
-            raise MalformedInputError(
-                f"{label} {value!r} is not in the vertex list")
-
-    kinds = {kind.value for kind in EdgeKind}
-    seen_edges = set()
-    for index, record in enumerate(data["edges"]):
-        if not isinstance(record, dict):
-            raise MalformedInputError(
-                f"edge #{index} must be an object, got {type(record).__name__}")
-        missing = [k for k in ("tail", "head", "weight", "kind")
-                   if k not in record]
-        if missing:
-            raise MalformedInputError(
-                f"edge #{index} misses required key(s) {missing}")
-        tail, head = record["tail"], record["head"]
-        for end, value in (("tail", tail), ("head", head)):
-            if not isinstance(value, str):
-                raise MalformedInputError(
-                    f"edge #{index} {end} must be a string, got {value!r}")
-            if value not in names:
-                raise MalformedInputError(
-                    f"edge #{index} {end} {value!r} is not a declared vertex")
-        if tail == head:
-            raise MalformedInputError(
-                f"edge #{index} is a self-loop on {tail!r}")
-        if record["kind"] not in kinds:
-            raise MalformedInputError(
-                f"edge #{index} has unknown kind {record['kind']!r} "
-                f"(expected one of {sorted(kinds)})")
-        _check_weight(record["weight"], f"weight of edge #{index}",
-                      allow_negative=True)
-        if strict:
-            key = (tail, head, record["kind"],
-                   str(record["weight"]))
-            if key in seen_edges:
-                raise MalformedInputError(
-                    f"edge #{index} duplicates an earlier "
-                    f"{record['kind']} edge {tail!r}->{head!r}")
-            seen_edges.add(key)
-
-
-def graph_from_dict(data: Dict[str, Any], *, strict: bool = False) -> ConstraintGraph:
-    """Rebuild the graph serialized by :func:`graph_to_dict`.
-
-    Vertices and edges are re-added in the recorded order through the
-    public construction API, so derived weights (sequencing and
-    serialization edges carry ``delta(tail)``) are re-derived and the
-    rebuilt graph is indistinguishable from the original.
-
-    The payload is validated first (:func:`validate_graph_dict`); any
-    problem -- structural, or caught later by the graph construction
-    API -- surfaces as a taxonomy error, never a raw ``KeyError`` /
-    ``TypeError``.
-    """
-    validate_graph_dict(data, strict=strict)
-    try:
-        return _graph_from_valid_dict(data)
-    except ConstraintGraphError:
-        raise
-    except (KeyError, TypeError, ValueError) as error:
-        raise MalformedInputError(
-            f"serialized graph failed to reconstruct: "
-            f"{type(error).__name__}: {error}") from error
-
-
-def _graph_from_valid_dict(data: Dict[str, Any]) -> ConstraintGraph:
-    source = data["source"]
-    sink = data["sink"]
-    delays = {record["name"]: _delay_from_json(record["delay"])
-              for record in data["vertices"]}
-    graph = ConstraintGraph(source=source, sink=sink,
-                            sink_delay=delays.get(sink, 0))
-    for record in data["vertices"]:
-        if record["name"] in (source, sink):
-            continue
-        graph.add_operation(record["name"], _delay_from_json(record["delay"]),
-                            tag=record.get("tag"))
-    for record in data["edges"]:
-        kind = EdgeKind(record["kind"])
-        tail, head = record["tail"], record["head"]
-        weight = _delay_from_json(record["weight"])
-        if kind is EdgeKind.SEQUENCING:
-            graph.add_sequencing_edge(tail, head)
-        elif kind is EdgeKind.MIN_TIME:
-            graph.add_min_constraint(tail, head, weight)
-        elif kind is EdgeKind.MAX_TIME:
-            # Stored as the backward graph edge (to, from) with -u.
-            graph.add_max_constraint(head, tail, -weight)
-        elif kind is EdgeKind.SERIALIZATION:
-            graph.add_serialization_edge(tail, head)
-        else:  # pragma: no cover - EdgeKind() above already raised
-            raise ValueError(f"unknown edge kind {record['kind']!r}")
-    return graph
+__all__ = ["FORMAT_VERSION", "MAX_ABS_WEIGHT", "dump_repro",
+           "graph_from_dict", "graph_to_dict", "graphs_equal", "load_repro",
+           "validate_graph_dict"]
 
 
 def graphs_equal(a: ConstraintGraph, b: ConstraintGraph) -> bool:

@@ -1,6 +1,6 @@
 """Greedy shrinking of failing fuzz cases to minimal repros.
 
-The shrinker works on the :func:`repro.qa.serialize.graph_to_dict`
+The shrinker works on the :func:`repro.io.graph_to_dict`
 representation, so every candidate is by construction serializable --
 whatever survives can be dumped straight into the regression corpus.
 Transformations, applied greedily to fixpoint under an evaluation

@@ -15,7 +15,7 @@ it with a 500.
 
 :func:`load_untrusted_graph` parses graph JSON from outside the trust
 boundary: strict structural validation
-(:func:`repro.qa.serialize.validate_graph_dict`), JSON ``NaN`` /
+(:func:`repro.io.validate_graph_dict`), JSON ``NaN`` /
 ``Infinity`` rejected at the parser, and optional size caps applied
 *before* the graph is built.
 """
@@ -167,7 +167,7 @@ def load_untrusted_graph(source: Union[str, Path],
     Raises:
         MalformedInputError: the JSON is not valid, not an object, uses
             non-finite numbers, or fails structural validation (see
-            :func:`repro.qa.serialize.validate_graph_dict`).
+            :func:`repro.io.validate_graph_dict`).
         BudgetExceededError: the declared payload is over the caps.
     """
     if is_path is None:
@@ -211,7 +211,7 @@ def untrusted_graph_from_dict(data: Any,
             strict structural validation.
         BudgetExceededError: the declared payload is over the caps.
     """
-    from repro.qa.serialize import graph_from_dict, validate_graph_dict
+    from repro.io import graph_from_dict
 
     if not isinstance(data, dict):
         raise MalformedInputError(
@@ -230,5 +230,4 @@ def untrusted_graph_from_dict(data: Any,
             raise BudgetExceededError(
                 f"untrusted graph declares {len(declared_edges)} edges, "
                 f"over the budget of {budget.max_edges}")
-    validate_graph_dict(data, strict=True)
-    return graph_from_dict(data)
+    return graph_from_dict(data, strict=True)

@@ -190,7 +190,7 @@ def run_crash_case(seed: int,
     import os
     import tempfile
 
-    from repro.qa.serialize import graph_to_dict
+    from repro.io import graph_to_dict
     from repro.resilience.recovery import journal_stream, verify_crash_points
     from repro.runtime.journal import watchdog_to_dict
 

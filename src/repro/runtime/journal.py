@@ -77,7 +77,7 @@ FSYNC_POLICIES = ("always", "never")
 #: Hard caps mirroring the untrusted-input limits: a hostile journal
 #: must not balloon memory by declaring huge batches.
 _MAX_BATCH_EVENTS = 1 << 20
-_MAX_CYCLE = 1 << 53  # matches qa.serialize.MAX_ABS_WEIGHT
+_MAX_CYCLE = 1 << 53  # matches repro.io.MAX_ABS_WEIGHT
 
 
 class JournalWriteError(OSError):
@@ -147,6 +147,9 @@ class SessionJournal:
         # DESIGN.md section 15 on sanitizer false positives).
         self._lock = make_lock("journal.append", io_ok=True)
         self.appends = 0
+        # Set when a failed append could not be rolled back from the
+        # file: every later append is refused (see _append).
+        self._poisoned: Optional[str] = None
 
     # -- the write path ------------------------------------------------
 
@@ -203,10 +206,20 @@ class SessionJournal:
         caller must not acknowledge the batch.  Unlike the schedule
         cache -- where persistence is an optimization and failures
         degrade to memory -- the journal IS the durability contract.
+        So a failed append also leaves no trace a recovery could read
+        as acknowledged: the file is truncated back to its size before
+        the write.  A failed fsync cannot be retried into success (the
+        kernel may already have dropped the dirty pages), so it also
+        poisons the journal, as does a rollback that itself fails;
+        a poisoned journal refuses every later append.
         """
         payload = (json.dumps(record, separators=(",", ":"))
                    + "\n").encode("utf-8")
         with self._lock:
+            if self._poisoned is not None:
+                raise JournalWriteError(
+                    f"journal {self.path} is poisoned by an earlier "
+                    f"failed append: {self._poisoned}")
             try:
                 if genesis:
                     self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -216,11 +229,18 @@ class SessionJournal:
                     if fcntl is not None:
                         fcntl.flock(fd, fcntl.LOCK_EX)
                     try:
-                        view = memoryview(payload)
-                        while view:  # a short write would tear a line
-                            view = view[os.write(fd, view):]
-                        if force_sync or self.fsync == "always":
-                            os.fsync(fd)
+                        size = os.fstat(fd).st_size
+                        stage = "write"
+                        try:
+                            view = memoryview(payload)
+                            while view:  # a short write would tear a line
+                                view = view[os.write(fd, view):]
+                            if force_sync or self.fsync == "always":
+                                stage = "fsync"
+                                os.fsync(fd)
+                        except OSError as error:
+                            self._roll_back(fd, size, stage, error)
+                            raise
                     finally:
                         if fcntl is not None:
                             fcntl.flock(fd, fcntl.LOCK_UN)
@@ -231,6 +251,18 @@ class SessionJournal:
                     f"journal append to {self.path} failed: {error}"
                 ) from error
             self.appends += 1
+
+    def _roll_back(self, fd: int, size: int, stage: str,
+                   error: OSError) -> None:
+        """Truncate a failed append back to the pre-write *size*;
+        poison the journal when the fsync or the truncation failed."""
+        if stage == "fsync":
+            self._poisoned = f"fsync failed ({error})"
+        try:
+            os.ftruncate(fd, size)
+        except OSError as rollback:
+            self._poisoned = (f"{stage} failed ({error}), then "
+                              f"rollback failed ({rollback})")
 
 
 # ----------------------------------------------------------------------

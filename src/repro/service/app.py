@@ -4,10 +4,12 @@
 payloads plus an HTTP status, with no socket code -- the HTTP layer
 (:mod:`repro.service.server`) and the tests drive the same dispatch.
 
-Wire format: graphs travel as :mod:`repro.qa.serialize` dicts (the
-fuzzer's and the CLI's format); schedules come back as
-:func:`repro.io.schedule_to_dict` documents; lint responses are SARIF
-2.1 logs; observe responses are observability run reports.
+Wire format: graphs travel as :func:`repro.io.graph_to_dict` dicts (the
+one constraint-graph codec the CLI, journals and regression corpus
+share); schedules come back as :func:`repro.io.schedule_to_dict`
+documents, whose ``graph`` is again such a dict and can be posted back
+as is; lint responses are SARIF 2.1 logs; observe responses are
+observability run reports.
 
 Error contract (the CLI's ``error:`` contract, mapped onto HTTP):
 every failure body is ``{"error": <message>, "error_type": <class>}``
@@ -48,7 +50,7 @@ from repro.core.exceptions import (
 )
 from repro.core.graph import ConstraintGraph
 from repro.core.resultcache import ScheduleCache
-from repro.io import schedule_to_dict
+from repro.io import graph_to_dict, schedule_to_dict
 from repro.observability import Tracer, build_report, use_tracer
 from repro.resilience.guard import (
     RunBudget,
@@ -178,6 +180,7 @@ class ServiceStats:
         self._started = time.monotonic()
         self._by_endpoint: Dict[str, Dict[str, int]] = {}
         self._latencies: List[float] = []
+        self._samples = 0
 
     def record(self, endpoint: str, status: int, seconds: float) -> None:
         with self._lock:
@@ -188,8 +191,9 @@ class ServiceStats:
                 entry["errors"] += 1
             if len(self._latencies) < self._RESERVOIR:
                 self._latencies.append(seconds)
-            else:  # overwrite round-robin: cheap, recency-biased
-                self._latencies[entry["requests"] % self._RESERVOIR] = seconds
+            else:  # overwrite the oldest sample, whatever its endpoint
+                self._latencies[self._samples % self._RESERVOIR] = seconds
+            self._samples += 1
 
     def snapshot(self) -> Dict[str, Any]:
         with self._lock:
@@ -555,7 +559,6 @@ class SchedulingService:
             WatchdogPolicy,
             validate_watchdog_bounds,
         )
-        from repro.qa.serialize import graph_to_dict
         from repro.runtime.executor import OnlineExecutor
         from repro.runtime.journal import JournalWriteError, watchdog_to_dict
 

@@ -121,7 +121,7 @@ def test_anchor_set_inclusions(seed, n_ops):
         return
     full = find_anchor_sets(graph)
     relevant = relevant_anchors(graph)
-    irredundant = irredundant_anchors(graph, anchor_sets=full, relevant=relevant)
+    irredundant = irredundant_anchors(graph)
     for vertex in graph.vertex_names():
         assert irredundant[vertex] <= relevant[vertex] <= full[vertex]
 

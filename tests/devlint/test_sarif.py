@@ -1,12 +1,19 @@
-"""Devlint SARIF output must validate against the bundled schema."""
+"""Devlint SARIF output (the one emitter of :mod:`repro.lint.sarif`
+with devlint's driver) must validate against the bundled schema."""
 
 import json
 
 import jsonschema
 import pytest
 
-from repro.devlint import RULE_CATALOGUE, SANITIZER_RULES, lint_source
-from repro.devlint.sarif import TOOL_NAME, load_trimmed_schema, to_sarif
+from repro.devlint import (DRIVER, RULE_CATALOGUE, SANITIZER_RULES,
+                           lint_source, with_sanitizer_findings)
+from repro.lint.sarif import load_trimmed_schema, sarif_json, to_sarif
+
+
+def devlint_sarif(report, sanitizer=None):
+    """What ``repro devlint --format sarif`` renders for *report*."""
+    return to_sarif(with_sanitizer_findings(report, sanitizer), driver=DRIVER)
 
 DIRTY = (
     "import time\n"
@@ -30,14 +37,25 @@ def schema():
 
 
 def test_clean_report_validates(schema):
-    log = to_sarif(lint_source("X = 1\n"))
+    log = devlint_sarif(lint_source("X = 1\n"))
     jsonschema.validate(instance=log, schema=schema)
     assert log["runs"][0]["results"] == []
-    assert log["runs"][0]["invocations"][0]["executionSuccessful"]
+    # A successful run with no notes has nothing to say in invocations.
+    assert "invocations" not in log["runs"][0]
+
+
+def test_notes_ride_on_a_successful_invocation(schema):
+    source = "import time\nT = time.time()  # devlint: disable=DL101\n"
+    log = devlint_sarif(lint_source(source))
+    jsonschema.validate(instance=log, schema=schema)
+    invocation = log["runs"][0]["invocations"][0]
+    assert invocation["executionSuccessful"]
+    assert "waived" in invocation["toolExecutionNotifications"][0][
+        "message"]["text"]
 
 
 def test_dirty_report_validates(schema):
-    log = to_sarif(lint_source(DIRTY, filename="src/repro/x.py"))
+    log = devlint_sarif(lint_source(DIRTY, filename="src/repro/x.py"))
     jsonschema.validate(instance=log, schema=schema)
     results = log["runs"][0]["results"]
     assert {r["ruleId"] for r in results} == {"DL101", "DL103"}
@@ -50,24 +68,25 @@ def test_dirty_report_validates(schema):
 
 
 def test_sanitizer_findings_fold_in(schema):
-    log = to_sarif(lint_source("X = 1\n"), sanitizer=SANITIZER)
+    log = devlint_sarif(lint_source("X = 1\n"), sanitizer=SANITIZER)
     jsonschema.validate(instance=log, schema=schema)
     by_rule = {r["ruleId"]: r for r in log["runs"][0]["results"]}
     assert set(by_rule) == {"SANLOCK", "SANIO"}
     assert "a -> b -> a" in by_rule["SANLOCK"]["message"]["text"]
     assert "sessions.table" in by_rule["SANIO"]["message"]["text"]
+    assert not log["runs"][0]["invocations"][0]["executionSuccessful"]
 
 
 def test_disabled_sanitizer_adds_nothing(schema):
-    log = to_sarif(lint_source("X = 1\n"), sanitizer={"enabled": False})
+    log = devlint_sarif(lint_source("X = 1\n"), sanitizer={"enabled": False})
     jsonschema.validate(instance=log, schema=schema)
     assert log["runs"][0]["results"] == []
 
 
 def test_driver_covers_every_rule_exactly_once():
-    log = to_sarif(lint_source("X = 1\n"))
+    log = devlint_sarif(lint_source("X = 1\n"))
     driver = log["runs"][0]["tool"]["driver"]
-    assert driver["name"] == TOOL_NAME
+    assert driver["name"] == DRIVER.name == "repro-devlint"
     ids = [rule["id"] for rule in driver["rules"]]
     expected = ([code for code, *_ in RULE_CATALOGUE]
                 + [code for code, *_ in SANITIZER_RULES])
@@ -76,7 +95,7 @@ def test_driver_covers_every_rule_exactly_once():
 
 
 def test_rule_indices_resolve():
-    log = to_sarif(lint_source(DIRTY, filename="x.py"),
+    log = devlint_sarif(lint_source(DIRTY, filename="x.py"),
                    sanitizer=SANITIZER)
     driver_rules = log["runs"][0]["tool"]["driver"]["rules"]
     for result in log["runs"][0]["results"]:
@@ -85,7 +104,6 @@ def test_rule_indices_resolve():
 
 
 def test_json_round_trip(schema):
-    from repro.devlint import sarif_json
-
-    text = sarif_json(lint_source(DIRTY, filename="x.py"))
+    text = sarif_json(lint_source(DIRTY, filename="x.py"), driver=DRIVER)
+    assert text.endswith("\n")
     jsonschema.validate(instance=json.loads(text), schema=schema)

@@ -146,6 +146,12 @@ class TestValidation:
         with pytest.raises(MalformedInputError, match="unknown kind"):
             validate_graph_dict(data)
 
+    def test_unhashable_edge_kind(self, mixed_graph):
+        data = self.payload(mixed_graph)
+        data["edges"][0]["kind"] = ["sequencing"]
+        with pytest.raises(MalformedInputError, match="unknown kind"):
+            validate_graph_dict(data)
+
     def test_duplicate_edges_strict_only(self, mixed_graph):
         data = self.payload(mixed_graph)
         data["edges"].append(dict(data["edges"][0]))
@@ -171,5 +177,5 @@ class TestReproFiles:
         assert payload["check"] == "pipeline"
         assert payload["seed"] == 42
         assert payload["scenario"] == "well_posed_small"
-        assert payload["graph"]["format"] == FORMAT_VERSION
+        assert payload["graph"]["version"] == FORMAT_VERSION
         assert graphs_equal(graph_from_dict(payload["graph"]), mixed_graph)

@@ -190,6 +190,24 @@ class TestLoadUntrustedGraph:
         with pytest.raises(BudgetExceededError, match="edges"):
             load_untrusted_graph(json.dumps(data), budget, is_path=False)
 
+    def test_one_decode_validates_once(self, monkeypatch):
+        import sys
+
+        from repro.qa.serialize import validate_graph_dict
+        from repro.resilience.guard import untrusted_graph_from_dict
+
+        calls = []
+
+        def counting(data, **options):
+            calls.append(options)
+            return validate_graph_dict(data, **options)
+
+        codec = sys.modules[validate_graph_dict.__module__]
+        monkeypatch.setattr(codec, "validate_graph_dict", counting)
+        untrusted_graph_from_dict(graph_to_dict(fig2_graph()),
+                                  RunBudget(max_vertices=100))
+        assert calls == [{"strict": True}]
+
     def test_loaded_graph_schedules(self, tmp_path):
         path = self.dump(tmp_path, graph_to_dict(fig2_graph()))
         graph = load_untrusted_graph(path, RunBudget(max_vertices=100))

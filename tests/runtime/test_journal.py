@@ -8,6 +8,7 @@ to "the last batch was never acknowledged", and nothing on disk can
 ever crash the scan or corrupt recovered state.
 """
 
+import errno
 import json
 import os
 import subprocess
@@ -112,6 +113,68 @@ class TestRoundTrip:
         journal = SessionJournal(path, fsync="never")
         with pytest.raises(JournalWriteError):
             journal.append_events(1, [("io", 7)])
+
+    @staticmethod
+    def failing(code):
+        def fail(*args):
+            raise OSError(code, os.strerror(code))
+        return fail
+
+    def opened(self, path):
+        journal = SessionJournal(path, fsync="always")
+        journal.append_open("s-1", graph_to_dict(chain_graph()), mode="full",
+                            watchdog=None, source_done=0, auto_well_pose=True)
+        return journal
+
+    def test_failed_fsync_is_never_acknowledged(self, tmp_path, monkeypatch):
+        # The whole line reached the file before fsync failed: it must
+        # not come back from recovery as an acknowledged batch.
+        path = tmp_path / "s-1.journal"
+        journal = self.opened(path)
+        monkeypatch.setattr(os, "fsync", self.failing(errno.EIO))
+        with pytest.raises(JournalWriteError):
+            journal.append_events(1, [("io", 7)])
+        state = read_journal(path)
+        assert state.open_record is not None
+        assert state.batches == [] and not state.torn_tail
+        # A failed fsync cannot be retried into success: poisoned.
+        monkeypatch.undo()
+        with pytest.raises(JournalWriteError, match="poisoned"):
+            journal.append_events(1, [("io", 7)])
+        assert read_journal(path).batches == []
+
+    def test_failed_write_rolls_back_and_stays_usable(self, tmp_path,
+                                                      monkeypatch):
+        path = tmp_path / "s-1.journal"
+        journal = self.opened(path)
+        real_write = os.write
+        calls = []
+
+        def short_then_enospc(fd, data):
+            calls.append(len(data))
+            if len(calls) == 1:
+                return real_write(fd, bytes(data[:5]))
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "write", short_then_enospc)
+        with pytest.raises(JournalWriteError):
+            journal.append_events(1, [("io", 7)])
+        monkeypatch.undo()
+        state = read_journal(path)
+        assert state.batches == [] and not state.torn_tail
+        journal.append_events(1, [("io", 7)])  # not poisoned
+        assert read_journal(path).batches == [(1, [("io", 7)])]
+
+    def test_failed_rollback_poisons_the_journal(self, tmp_path, monkeypatch):
+        path = tmp_path / "s-1.journal"
+        journal = self.opened(path)
+        monkeypatch.setattr(os, "fsync", self.failing(errno.EIO))
+        monkeypatch.setattr(os, "ftruncate", self.failing(errno.EROFS))
+        with pytest.raises(JournalWriteError):
+            journal.append_events(1, [("io", 7)])
+        monkeypatch.undo()
+        with pytest.raises(JournalWriteError, match="rollback failed"):
+            journal.append_events(2, [("io", 9)])
 
 
 class TestTornTail:

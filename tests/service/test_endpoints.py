@@ -79,6 +79,17 @@ class TestRoundTrips:
         expected = schedule_graph(graph, anchor_mode=AnchorMode.FULL)
         assert body["schedule"] == schedule_to_dict(expected)
 
+    def test_response_graph_posts_back(self, client):
+        # The graph inside a /schedule response is a request graph too,
+        # unbounded edges (source and anchor out-edges) included.
+        graph = pipeline_graph()
+        graph.make_polar()
+        status, first = client.schedule(graph_to_dict(graph))
+        assert status == 200
+        status, second = client.schedule(first["schedule"]["graph"])
+        assert status == 200
+        assert second["schedule"]["offsets"] == first["schedule"]["offsets"]
+
     def test_schedule_explicit_mode_bypasses_batcher(self, client):
         graph = pipeline_graph()
         status, body = client.schedule(graph_to_dict(graph),

@@ -3,6 +3,8 @@
 * ``ServiceStats`` uptime is derived from ``time.monotonic()``: an NTP
   step or DST jump in the wall clock must never make it leap or go
   negative (the regression the old ``time.time()`` arithmetic had).
+* Its latency reservoir holds the most recent 2048 samples across all
+  endpoints.
 * ``ServiceClient(retries=N)`` opts in to bounded retry on 503: the
   client honors the server's ``Retry-After`` hint (capped), falls back
   to doubling backoff without one, and gives up after N re-sends.
@@ -93,6 +95,21 @@ class TestUptimeMonotonic:
             assert 0 <= first["uptime_s"] <= second["uptime_s"]
         finally:
             stop_server(server, thread)
+
+
+class TestLatencyReservoir:
+    def test_full_reservoir_keeps_the_most_recent_samples(self):
+        # The slot to overwrite is picked by one global sample counter:
+        # a per-endpoint count would keep rewriting the same low slots
+        # of a mixed load and let old samples elsewhere survive.
+        stats = ServiceStats()
+        for _ in range(2048):
+            stats.record("/healthz", 200, 1.0)
+        for _ in range(1500):
+            stats.record("/healthz", 200, 0.001)
+            stats.record("/schedule", 200, 0.001)
+        latency = stats.snapshot()["latency_ms"]
+        assert latency == {"p50": 1.0, "p99": 1.0}
 
 
 class TestRetryDelays:

@@ -311,6 +311,24 @@ class TestParser:
         with pytest.raises(SystemExit, match="expected a design"):
             main(["check", path])
 
+    @pytest.mark.parametrize("command", ["schedule", "check", "lint"])
+    def test_malformed_graph_json_is_an_error_line(self, tmp_path, capsys,
+                                                   command):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({  # the sink "t" is never declared
+            "kind": "constraint_graph", "version": 1,
+            "source": "s", "sink": "t",
+            "vertices": [{"name": "s", "delay": "unbounded"},
+                         {"name": "x", "delay": 1}],
+            "edges": [{"tail": "s", "head": "x", "kind": "sequencing"}]}))
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr().err == \
+            "error: sink 't' is not in the vertex list\n"
+        path.write_text("[]")
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr().err == \
+            "error: serialized graph must be an object, got list\n"
+
 
 class TestScheduleMany:
     @pytest.fixture

@@ -3,10 +3,12 @@
 import io
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 from repro import AnchorMode, ConstraintGraph, UNBOUNDED, schedule_graph
+from repro.core.exceptions import MalformedInputError
 from repro.designs import build_design
 from repro.designs.random_graphs import random_constraint_graph
 from repro.io import (
@@ -74,7 +76,7 @@ class TestConstraintGraphRoundTrip:
         assert "unbounded" in text
 
     def test_kind_checked(self):
-        with pytest.raises(ValueError, match="constraint_graph"):
+        with pytest.raises(MalformedInputError, match="constraint_graph"):
             graph_from_dict({"kind": "design"})
 
 
@@ -186,5 +188,120 @@ class TestDispatchAndFiles:
     def test_newer_version_rejected(self):
         data = graph_to_dict(fig2())
         data["version"] = 999
-        with pytest.raises(ValueError, match="newer"):
+        with pytest.raises(MalformedInputError, match="version 999"):
             from_dict(data)
+
+
+# ----------------------------------------------------------------------
+# one codec: every graph shape ever written decodes through it
+# ----------------------------------------------------------------------
+
+REGRESSIONS = sorted((Path(__file__).parent / "qa" / "regressions").glob("*.json"))
+
+
+def legacy_graph():
+    graph = ConstraintGraph(source="v0", sink="v4")
+    graph.add_operation("a", UNBOUNDED, tag="sync")
+    graph.add_operation("v1", 2)
+    graph.add_operation("v2", 1)
+    graph.add_operation("v3", 5)
+    graph.add_sequencing_edges([("v0", "a"), ("v0", "v1"), ("v1", "v2"),
+                                ("a", "v3"), ("v2", "v3"), ("v3", "v4")])
+    graph.add_min_constraint("v0", "v3", 3)
+    graph.add_max_constraint("v1", "v2", 4)
+    graph.add_serialization_edge("a", "v2")
+    return graph
+
+
+#: legacy_graph() as the retired ``repro.io`` encoder saved it:
+#: ``kind``/``version``, no weight on unbounded edges.
+SAVED_GRAPH = (
+    '{"edges":[{"head":"a","kind":"sequencing","tail":"v0"},'
+    '{"head":"v1","kind":"sequencing","tail":"v0"},'
+    '{"head":"v2","kind":"sequencing","tail":"v1","weight":2},'
+    '{"head":"v3","kind":"sequencing","tail":"a"},'
+    '{"head":"v3","kind":"sequencing","tail":"v2","weight":1},'
+    '{"head":"v4","kind":"sequencing","tail":"v3","weight":5},'
+    '{"head":"v3","kind":"min_time","tail":"v0","weight":3},'
+    '{"head":"v1","kind":"max_time","tail":"v2","weight":-4},'
+    '{"head":"v2","kind":"serialization","tail":"a"}],'
+    '"kind":"constraint_graph","sink":"v4","source":"v0","version":1,'
+    '"vertices":[{"delay":"unbounded","name":"v0"},{"delay":0,"name":"v4"},'
+    '{"delay":"unbounded","name":"a","tag":"sync"},{"delay":2,"name":"v1"},'
+    '{"delay":1,"name":"v2"},{"delay":5,"name":"v3"}]}')
+
+#: A session journal whose genesis record holds legacy_graph() as the
+#: retired ``repro.qa.serialize`` encoder wrote it: ``format: 1`` and a
+#: weight on every edge.
+JOURNAL = (
+    '{"type":"open","format":1,"session":"s-1","graph":{"format":1,'
+    '"source":"v0","sink":"v4","vertices":[{"name":"v0","delay":"unbounded"},'
+    '{"name":"v4","delay":0},{"name":"a","delay":"unbounded","tag":"sync"},'
+    '{"name":"v1","delay":2},{"name":"v2","delay":1},{"name":"v3","delay":5}],'
+    '"edges":[{"tail":"v0","head":"a","weight":"unbounded","kind":"sequencing"},'
+    '{"tail":"v0","head":"v1","weight":"unbounded","kind":"sequencing"},'
+    '{"tail":"v1","head":"v2","weight":2,"kind":"sequencing"},'
+    '{"tail":"a","head":"v3","weight":"unbounded","kind":"sequencing"},'
+    '{"tail":"v2","head":"v3","weight":1,"kind":"sequencing"},'
+    '{"tail":"v3","head":"v4","weight":5,"kind":"sequencing"},'
+    '{"tail":"v0","head":"v3","weight":3,"kind":"min_time"},'
+    '{"tail":"v2","head":"v1","weight":-4,"kind":"max_time"},'
+    '{"tail":"a","head":"v2","weight":"unbounded","kind":"serialization"}]},'
+    '"mode":"full","watchdog":null,"source_done":0,"auto_well_pose":true}\n'
+    '{"type":"events","seq":1,"events":[["a",3]]}\n')
+
+
+def decoders():
+    from repro.resilience.guard import untrusted_graph_from_dict
+
+    return (from_dict, untrusted_graph_from_dict)
+
+
+def spelled(value):
+    return "unbounded" if value is UNBOUNDED else value
+
+
+class TestLegacyGraphShapes:
+    @pytest.mark.parametrize("path", REGRESSIONS, ids=lambda p: p.name)
+    def test_regression_corpus_decodes(self, path):
+        data = json.loads(path.read_text())["graph"]
+        assert "kind" not in data and data["format"] == 1
+        for decode in decoders():
+            graph = decode(data)
+            assert [(v.name, spelled(v.delay), v.tag)
+                    for v in graph.vertices()] == \
+                [(v["name"], v["delay"], v.get("tag"))
+                 for v in data["vertices"]]
+            assert [(e.tail, e.head, e.kind.value, spelled(e.weight))
+                    for e in graph.edges()] == \
+                [(e["tail"], e["head"], e["kind"], e["weight"])
+                 for e in data["edges"]]
+
+    def test_saved_graph_with_unweighted_unbounded_edges(self):
+        from repro.qa.serialize import graphs_equal as ordered_equal
+
+        assert ordered_equal(load_json(io.StringIO(SAVED_GRAPH)),
+                             legacy_graph())
+        for decode in decoders():
+            assert ordered_equal(decode(json.loads(SAVED_GRAPH)),
+                                 legacy_graph())
+
+    def test_journal_genesis_graph(self, tmp_path):
+        from repro.qa.serialize import graphs_equal as ordered_equal
+        from repro.runtime.journal import read_journal, replay_journal
+
+        record = json.loads(JOURNAL.splitlines()[0])
+        for decode in decoders():
+            assert ordered_equal(decode(record["graph"]), legacy_graph())
+        path = tmp_path / "s-1.journal"
+        path.write_text(JOURNAL)
+        state = read_journal(path)
+        assert state.batches == [(1, [("a", 3)])]
+        _, outcomes = replay_journal(state)
+        assert outcomes[1].complete and outcomes[1].done["a"] == 3
+
+    def test_new_shape_weighs_only_constraint_edges(self):
+        data = graph_to_dict(legacy_graph())
+        assert (data["kind"], data["version"]) == ("constraint_graph", 1)
+        assert [e.get("weight") for e in data["edges"]] == \
+            [None] * 6 + [3, -4, None]
