@@ -50,7 +50,11 @@ from repro.core.scheduler import IterativeIncrementalScheduler  # noqa: E402
 from repro.designs.random_graphs import random_constraint_graph  # noqa: E402
 from repro.observability import Tracer, use_tracer  # noqa: E402
 from repro.resilience.guard import guarded_schedule  # noqa: E402
-from repro.runtime import CompletionEvent, OnlineExecutor  # noqa: E402
+from repro.runtime import (  # noqa: E402
+    CompletionEvent,
+    OnlineExecutor,
+    static_completion_events,
+)
 
 #: Corpus recipe: streaming-sized graphs with enough unbounded anchors
 #: that every case produces a meaningful event stream.
@@ -83,14 +87,7 @@ def make_stream_corpus(n_graphs, n_lo, n_hi, seed=1990):
         if not anchors:
             continue
         profile = {a: rng.randint(0, 12) for a in anchors}
-        done = schedule.start_times(profile)
-        # Same-cycle ties stream in topological order so a gating
-        # anchor's completion precedes a dependent's zero-delay finish.
-        order = {name: position for position, name
-                 in enumerate(schedule.graph.forward_topological_order())}
-        events = sorted(((done[a] + profile[a], order[a], a)
-                         for a in anchors))
-        cases.append((schedule, [(a, c) for c, _, a in events]))
+        cases.append((schedule, static_completion_events(schedule, profile)))
     return cases
 
 

@@ -14,7 +14,7 @@ Usage (also via ``python -m repro``)::
     repro report INPUT [options]    full Hebe flow report (+ --markdown)
     repro montecarlo INPUT          latency distribution over profiles
     repro observe INPUT [options]   traced scheduling run -> JSON report
-    repro chaos [options]           seeded fault-injection campaign
+    repro chaos [--kind K ...]      seeded fault/runtime/crash campaign
 
 Global flags (before the sub-command) attach the observability layer to
 any command: ``--trace`` prints the run summary to stderr, ``--profile``
@@ -681,12 +681,18 @@ def cmd_observe(args: argparse.Namespace) -> int:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    """Seeded fault-injection campaign (see repro.resilience.chaos)."""
+    """Seeded chaos campaign of one kind (see repro.resilience.chaos)."""
     from repro.core.watchdog import WatchdogPolicy
     from repro.resilience.chaos import run_campaign
 
+    if args.events and args.kind == "faults":
+        print("error: --events needs --kind runtime or crash (the faults "
+              "kind streams no events)", file=sys.stderr)
+        return 2
+    cases = args.cases if args.cases is not None else (
+        0 if args.events else 200)
     policy = WatchdogPolicy(args.policy) if args.policy else None
-    stats = run_campaign(args.seed, args.cases, policy)
+    stats = run_campaign(args.kind, args.seed, cases, args.events, policy)
     print(stats.summary())
     if stats.silent:
         print(f"FAIL: {stats.silent} silent divergence(s)", file=sys.stderr)
@@ -960,12 +966,24 @@ def build_parser() -> argparse.ArgumentParser:
                        help="render a Gantt chart clipped to WIDTH cycles")
     cosim.set_defaults(handler=cmd_cosim)
 
-    chaos = sub.add_parser("chaos", help="seeded fault-injection campaign "
-                                         "(detected-or-masked contract)")
+    # The one campaign parser: ``python -m repro.resilience.chaos``
+    # forwards its arguments here.
+    chaos = sub.add_parser("chaos", help="seeded chaos campaign: fault "
+                                         "injection, executor vs simulator, "
+                                         "or crash injection")
+    chaos.add_argument("--kind", default="faults",
+                       choices=["faults", "runtime", "crash"],
+                       help="case kind: fault containment, executor vs "
+                            "simulator, or journal crash recovery "
+                            "(default faults)")
     chaos.add_argument("--seed", type=int, default=0,
                        help="first seed of the campaign (default 0)")
-    chaos.add_argument("--cases", type=int, default=200,
-                       help="number of seeded cases (default 200)")
+    chaos.add_argument("--cases", type=int, default=None,
+                       help="seeded cases to run at least (default 200, "
+                            "or 0 with --events)")
+    chaos.add_argument("--events", type=int, default=0,
+                       help="completion events to stream at least "
+                            "(runtime and crash kinds)")
     chaos.add_argument("--policy", default=None,
                        choices=["abort", "retry", "fallback"],
                        help="pin every case to one degradation policy "

@@ -658,7 +658,7 @@ def check_anomaly_freedom(graph: ConstraintGraph,
     simulation of the same profile (the two implementations share only
     the watchdog arithmetic).
     """
-    from repro.runtime.driver import replay_faults
+    from repro.runtime.driver import replay_faults, static_completion_events
     from repro.runtime.events import CompletionEvent
     from repro.runtime.executor import OnlineExecutor
 
@@ -669,17 +669,11 @@ def check_anomaly_freedom(graph: ConstraintGraph,
     anchors = [a for a in base.anchors if a != base.source]
     profile = {a: rng.randint(0, 12) for a in anchors}
     static = schedule.start_times(profile)
-    # Same-cycle ties stream in topological order: a gating anchor's
-    # completion must precede a dependent's zero-delay completion on
-    # the same cycle, or the latter would arrive before its own start.
-    order = {name: position for position, name
-             in enumerate(base.forward_topological_order())}
-    events = sorted(
-        ((static[a] + profile[a], order[a], a) for a in anchors))
+    events = static_completion_events(schedule, profile)
 
     executor = OnlineExecutor(schedule)
     fed = 0
-    for cycle, _, anchor in events:
+    for anchor, cycle in events:
         executor.feed(CompletionEvent(anchor, cycle))
         fed += 1
         for op, issued in executor.log.issues.items():
@@ -728,6 +722,7 @@ def check_crash_recovery(graph: ConstraintGraph,
     from repro.core.watchdog import WatchdogPolicy
     from repro.io import graph_to_dict
     from repro.resilience.recovery import journal_stream, verify_crash_points
+    from repro.runtime.driver import static_completion_events
 
     schedule = _schedulable(graph)
     if schedule is None:
@@ -735,11 +730,7 @@ def check_crash_recovery(graph: ConstraintGraph,
     base = schedule.graph
     anchors = [a for a in base.anchors if a != base.source]
     profile = {a: rng.randint(0, 12) for a in anchors}
-    static = schedule.start_times(profile)
-    order = {name: position for position, name
-             in enumerate(base.forward_topological_order())}
-    events = [(a, cycle) for cycle, _, a in sorted(
-        (static[a] + profile[a], order[a], a) for a in anchors)]
+    events = static_completion_events(schedule, profile)
 
     watchdog = None
     if anchors and rng.random() < 0.5:

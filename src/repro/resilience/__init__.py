@@ -15,15 +15,16 @@ graph is well-formed.  This package drops those assumptions:
   budgets (size caps, iteration caps against the Theorem 8 bound,
   wall-clock deadlines) and a strict validating loader for untrusted
   graph JSON;
-* :mod:`repro.resilience.chaos` -- the seeded campaign driver
-  (``python -m repro.resilience.chaos``) that runs fault-injection
-  cases at scale and fails on any silent divergence;
+* :mod:`repro.resilience.chaos` -- the seeded campaign runner
+  (``python -m repro.resilience.chaos``, ``repro chaos``): one loop
+  whose ``faults``, ``runtime`` and ``crash`` case kinds run fault
+  injection, the executor-vs-simulator differential and crash
+  injection at scale, failing on any silent divergence;
 * :mod:`repro.resilience.recovery` -- the crash-recovery harness:
   journal a stream through the real write-ahead path, kill the journal
   at every record boundary (and inside records), replay, and demand
   bit-identical executor state (shared by the qa oracle's
-  ``crash_recovery`` check and ``python -m repro.runtime.chaos
-  --crash``).
+  ``crash_recovery`` check and the ``crash`` campaign kind).
 
 Watchdog bounds and policies themselves live in
 :mod:`repro.core.watchdog` so the simulators can honor them without

@@ -11,8 +11,8 @@ recover to the boundary before it: the torn record was never
 acknowledged, so losing it is not loss.
 
 This module is the shared harness behind that contract's three
-consumers: the qa oracle's 14th check (``crash_recovery``), the runtime
-chaos campaign's ``--crash`` mode, and the journal test suite.  It
+consumers: the qa oracle's 14th check (``crash_recovery``), the
+``crash`` kind of the chaos campaign, and the journal test suite.  It
 writes the journal through the real :class:`~repro.runtime.journal.
 SessionJournal` append path (mirroring the service's
 journal-then-apply-then-acknowledge ordering, including the

@@ -14,8 +14,8 @@ is computed only on demand (``OnlineExecutor.schedule``).
 Late or missing completions route through the watchdog machinery with
 cycle-accurate simulator semantics; :mod:`repro.runtime.driver`
 replays fault plans as event streams and diffs the executor against
-the control-unit simulation, and :mod:`repro.runtime.chaos` runs that
-differential at campaign scale.
+the control-unit simulation, and the ``runtime`` kind of
+:mod:`repro.resilience.chaos` runs that differential at campaign scale.
 """
 
 from repro.runtime.driver import (
@@ -23,6 +23,7 @@ from repro.runtime.driver import (
     drive,
     events_from_result,
     replay_faults,
+    static_completion_events,
 )
 from repro.runtime.events import CompletionEvent, ExecutionLog, IssueRecord
 from repro.runtime.executor import OnlineExecutor, execute_stream
@@ -57,5 +58,6 @@ __all__ = [
     "replay_journal",
     "sample_profile",
     "scan_journal_dir",
+    "static_completion_events",
     "validate_batch",
 ]

@@ -1,11 +1,14 @@
 """Drive the online executor from delay profiles and fault plans.
 
 The executor consumes completion events; something has to put them on
-the wire.  This module closes the loop two ways:
+the wire.  This module closes the loop three ways:
 
 * :func:`events_from_result` -- lift a finished control simulation's
   done times into the event stream a live environment would have
   emitted (the replay path for recorded runs);
+* :func:`static_completion_events` -- the fault-free stream an honest
+  environment emits for a delay profile: every anchor completes at its
+  static start plus its delay;
 * :func:`drive` -- synthesize the wire *causally*: each anchor's
   completion pulse is scheduled the moment the executor commits its
   start, at ``start + delay`` perturbed by an optional
@@ -19,8 +22,8 @@ the wire.  This module closes the loop two ways:
 event-driven executor -- on the same environment and diffs them field
 by field.  The two implementations share nothing but the watchdog
 window arithmetic, so agreement is strong evidence both got the
-boundary semantics right; the runtime chaos campaign fails on any
-mismatch.
+boundary semantics right; the runtime chaos campaign
+(:mod:`repro.resilience.chaos`) fails on any mismatch.
 
 Tie-breaking matters: a spurious pulse landing on the same cycle as a
 genuine completion is processed *first*, because the simulator injects
@@ -63,13 +66,36 @@ def events_from_result(schedule: RelativeSchedule,
     results -- a degraded simulation's done times are the static
     fallback, not observations.
     """
+    return [CompletionEvent(anchor, cycle) for anchor, cycle
+            in _stream_order(schedule, result.done_times)]
+
+
+def static_completion_events(schedule: RelativeSchedule,
+                             profile: Mapping[str, int]
+                             ) -> List[Tuple[str, int]]:
+    """The complete stream an environment honouring *profile* emits.
+
+    Every non-source anchor completes at its static start plus its
+    delay, ``start_times(profile)[a] + profile[a]`` (a missing delay
+    is 0), as ``(anchor, cycle)`` pairs -- the wire shape of journal
+    records and session batches -- ordered as in
+    :func:`events_from_result`.
+    """
+    start = schedule.start_times(profile)
+    return _stream_order(schedule, {a: start[a] + profile.get(a, 0)
+                                    for a in schedule.graph.anchors})
+
+
+def _stream_order(schedule: RelativeSchedule,
+                  done: Mapping[str, int]) -> List[Tuple[str, int]]:
+    """``(anchor, cycle)`` for each non-source anchor in *done*, in
+    cycle order, same-cycle ties in forward topological order."""
     source = schedule.graph.source
     order = {name: position for position, name
              in enumerate(schedule.graph.forward_topological_order())}
-    pairs = sorted((result.done_times[a], order[a], a)
-                   for a in schedule.graph.anchors
-                   if a != source and a in result.done_times)
-    return [CompletionEvent(anchor, cycle) for cycle, _, anchor in pairs]
+    triples = sorted((done[a], order[a], a) for a in schedule.graph.anchors
+                     if a != source and a in done)
+    return [(anchor, cycle) for cycle, _, anchor in triples]
 
 
 def drive(schedule: RelativeSchedule,

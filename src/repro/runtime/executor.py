@@ -131,7 +131,7 @@ class OnlineExecutor:
 
         Two executors that consumed the same event prefix must produce
         equal snapshots -- the bit-identity contract the crash-recovery
-        oracle check and the chaos ``--crash`` mode compare on.  Covers
+        oracle check and the ``crash`` chaos campaign compare on.  Covers
         the execution log, the issue frontier, every armed watchdog
         (deadline *and* arming order, so re-arm tie-breaks survive a
         restart), and the stream clock.

@@ -1,6 +1,6 @@
-"""Bounded-delay profile families for runtime chaos campaigns.
+"""Bounded-delay profile families for the runtime and crash campaigns.
 
-The resilience chaos campaign samples anchor delays uniformly; the
+The ``faults`` chaos campaign samples anchor delays uniformly; the
 online executor's interesting failure modes cluster elsewhere -- at the
 watchdog boundary, in bursts that pile many completions onto one cycle,
 and in long quiet runs where per-event cost must stay flat.  Each

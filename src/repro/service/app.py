@@ -331,9 +331,12 @@ class SchedulingService:
         tracer = Tracer() if _flag(payload, "trace", False) else None
         t0 = time.perf_counter()
         # Traced requests bypass the batcher: the point of trace=True is
-        # telemetry for *this* request, not a shared arena sweep.
+        # telemetry for *this* request, not a shared arena sweep.  So do
+        # requests with a deadline: one coalesced sweep serves several
+        # tenants and runs under none of their budgets.
         batched = (self.batcher is not None and mode is AnchorMode.FULL
-                   and auto_well_pose and tracer is None)
+                   and auto_well_pose and tracer is None
+                   and (budget is None or budget.deadline_s is None))
         if batched:
             # FULL mode comes back bit-identical from the arena sweep
             # (PR-6 batch_consistency invariant), so coalescing is safe.
@@ -469,13 +472,13 @@ class SchedulingService:
                 raise ServiceError(
                     400, f"unknown watchdog policy {policy!r}",
                     "MalformedInputError") from None
-        stats = run_campaign(seed, cases, policy)
+        stats = run_campaign("faults", seed, cases, policy=policy)
         return {
             "cases": stats.cases,
             "unschedulable": stats.unschedulable,
-            "faultless": stats.faultless,
-            "detected": stats.detected,
-            "masked": stats.masked,
+            "faultless": stats.counters["fault-free"],
+            "detected": stats.counters["detected"],
+            "masked": stats.counters["masked"],
             "silent": stats.silent,
             "divergences": list(stats.divergences),
             "summary": stats.summary(),
@@ -612,9 +615,11 @@ class SchedulingService:
         The write-ahead ordering is the durability contract: by the
         time the response leaves, the batch is on disk (per the fsync
         policy), so a crash after the acknowledgement loses nothing.
-        Idempotent by sequence number: a re-POSTed ``seq`` returns the
-        original acknowledgement with ``"replayed": true`` -- which is
-        what makes the client's at-least-once 503/timeout retry safe.
+        Idempotent by sequence number: a re-POSTed ``seq`` with the same
+        batch returns the original acknowledgement with ``"replayed":
+        true`` -- which is what makes the client's at-least-once
+        503/timeout retry safe.  The same ``seq`` with a different batch
+        is a client bug, answered 409 ``SequenceConflictError``.
         """
         from repro.runtime.journal import (
             JournalWriteError,
@@ -646,7 +651,12 @@ class SchedulingService:
                     raise ServiceError(
                         409, f"seq {seq} predates this session's "
                              f"recovered prefix", "SequenceGapError")
-                status, body = stored
+                batch, (status, body) = stored
+                if events != batch:
+                    raise ServiceError(
+                        409, f"seq {seq} was acknowledged for a different "
+                             f"batch; a retry must resend the same events",
+                        "SequenceConflictError")
                 body = dict(body)
                 body["replayed"] = True
                 if status == 200:

@@ -7,10 +7,12 @@ batches instead of one-shot ``/execute`` bodies.  Each session owns:
 * its executor (the live stream state),
 * its write-ahead :class:`~repro.runtime.journal.SessionJournal`
   (when the service runs with a journal directory),
-* its **idempotency table**: the ``(status, body)`` the service
-  acknowledged each sequence number with, so an at-least-once client
-  retrying a lost acknowledgement gets the original answer byte-for-
-  byte rather than a sequence-gap error.
+* its **idempotency table**: the batch each sequence number carried
+  and the ``(status, body)`` the service acknowledged it with, so an
+  at-least-once client retrying a lost acknowledgement gets the
+  original answer byte-for-byte rather than a sequence-gap error, and
+  a client reusing a sequence number for another batch gets a
+  conflict rather than the first batch's acknowledgement.
 
 The table is bounded two ways -- an LRU cap and a TTL -- because a
 service holding streams for millions of users cannot keep every
@@ -82,7 +84,8 @@ class Session:
         # per-session lock (append must be ordered with the executor
         # mutation it precedes); declared, not a sanitizer bug.
         self.lock = make_lock("session", io_ok=True)
-        self.responses: Dict[int, Tuple[int, Dict[str, Any]]] = {}
+        self.responses: Dict[int, Tuple[List[Tuple[str, int]],
+                                        Tuple[int, Dict[str, Any]]]] = {}
         self.last_seq = 0
         self.events_total = 0
         self.aborted = False
@@ -110,7 +113,7 @@ class Session:
         if outcome.error:
             self.aborted = True
         response = outcome_response(self.id, outcome)
-        self.responses[seq] = response
+        self.responses[seq] = (events, response)
         return response
 
 

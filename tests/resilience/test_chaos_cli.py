@@ -1,12 +1,23 @@
-"""Chaos campaigns: deterministic case generation and the CLI contract."""
+"""Chaos campaigns: deterministic case generation, the one runner and
+its command-line contract."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from repro.core.watchdog import WatchdogPolicy
+from repro.resilience import chaos
 from repro.resilience.chaos import (
+    KINDS,
     generate_chaos_case,
     main as chaos_main,
     run_campaign,
-    run_chaos_case,
 )
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 class TestCaseGeneration:
@@ -34,52 +45,104 @@ class TestCaseGeneration:
 
 class TestCampaign:
     def test_small_campaign_has_no_silent_divergences(self):
-        stats = run_campaign(start_seed=0, count=40)
+        stats = run_campaign("faults", start_seed=0, cases=40)
         assert stats.cases == 40
         assert stats.silent == 0
         # Every schedulable case was classified one way or the other.
-        assert stats.unschedulable + stats.detected + stats.masked == 40
+        assert (stats.unschedulable + stats.counters["detected"]
+                + stats.counters["masked"]) == 40
 
     def test_campaign_is_deterministic(self):
-        first = run_campaign(start_seed=5, count=15)
-        second = run_campaign(start_seed=5, count=15)
-        assert (first.detected, first.masked, first.by_kind) == \
-            (second.detected, second.masked, second.by_kind)
+        first = run_campaign("faults", start_seed=5, cases=15)
+        second = run_campaign("faults", start_seed=5, cases=15)
+        assert (first.counters, first.tallies) == \
+            (second.counters, second.tallies)
 
     def test_pinned_policy_campaign(self):
-        stats = run_campaign(start_seed=0, count=15,
+        stats = run_campaign("faults", start_seed=0, cases=15,
                              policy=WatchdogPolicy.ABORT)
         assert stats.silent == 0
-        assert set(stats.by_policy) <= {"abort"}
+        assert set(stats.tallies["policies"]) <= {"abort"}
 
-    def test_unschedulable_seed_returns_none(self):
-        # Scan until the generator rotation produces an unschedulable
-        # graph (the adversarial scenarios guarantee some do).
-        outcomes = [run_chaos_case(generate_chaos_case(seed))
-                    for seed in range(30)]
-        assert any(outcome is None for outcome in outcomes)
-        assert any(outcome is not None for outcome in outcomes)
+    def test_unschedulable_seeds_are_counted(self):
+        # The adversarial scenarios of the generator rotation guarantee
+        # some unschedulable graphs among the first 30 seeds.
+        stats = run_campaign("faults", start_seed=0, cases=30)
+        assert 0 < stats.unschedulable < 30
+
+    def test_crash_campaign_recovers_bit_identically(self):
+        stats = run_campaign("crash", start_seed=0, cases=6)
+        assert stats.silent == 0, stats.divergences
+        assert stats.events > 0
+        assert stats.counters["boundary kills"] > stats.cases \
+            - stats.unschedulable
+
+    def test_case_cap_bounds_every_kind(self, monkeypatch):
+        monkeypatch.setattr(chaos, "MAX_CAMPAIGN_CASES", 3)
+        assert run_campaign("faults", cases=10).cases == 3
+        assert run_campaign("runtime", events=10**6).cases == 3
 
     def test_summary_mentions_counts(self):
-        stats = run_campaign(start_seed=0, count=10)
+        stats = run_campaign("faults", start_seed=0, cases=10)
         text = stats.summary()
-        assert "chaos campaign: 10 cases" in text
+        assert text.startswith("chaos campaign: 10 cases (")
         assert "detected:" in text and "silent:" in text
+
+    def test_silent_divergences_are_listed(self):
+        stats = chaos.CampaignStats("crash", {"torn kills": 0})
+        stats.divergences += [f"seed {seed}: differs" for seed in range(12)]
+        lines = stats.summary().splitlines()
+        assert "  silent: 12" in lines
+        assert "  SILENT seed 9: differs" in lines
+        assert lines[-1] == "  ... and 2 more"
 
 
 class TestChaosMain:
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_module_entry_point_runs_each_kind(self, kind):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.resilience.chaos", "--kind", kind,
+             "--seed", "0", "--cases", "3"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith(f"{KINDS[kind][0]}: 3 cases (")
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_cli_subcommand_runs_each_kind(self, kind, capsys):
+        from repro.cli import main
+
+        assert main(["chaos", "--kind", kind, "--seed", "0",
+                     "--cases", "3"]) == 0
+        assert capsys.readouterr().out.startswith(
+            f"{KINDS[kind][0]}: 3 cases (")
+
     def test_clean_campaign_exits_zero(self, capsys):
         assert chaos_main(["--seed", "0", "--cases", "10"]) == 0
-        out = capsys.readouterr().out
-        assert "chaos campaign: 10 cases" in out
+        assert "chaos campaign: 10 cases" in capsys.readouterr().out
+
+    def test_events_target_without_cases(self, capsys):
+        assert chaos_main(["--kind", "runtime", "--seed", "1",
+                           "--events", "20"]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert int(header.rsplit(", ", 1)[1].split()[0]) >= 20
+
+    def test_events_with_faults_kind_is_a_usage_error(self, capsys):
+        assert chaos_main(["--events", "5"]) == 2
+        assert "--events" in capsys.readouterr().err
 
     def test_policy_flag(self, capsys):
         assert chaos_main(["--seed", "0", "--cases", "10",
                            "--policy", "fallback"]) == 0
         assert "fallback" in capsys.readouterr().out
 
-    def test_cli_subcommand(self, capsys):
-        from repro.cli import main
+    def test_silent_divergence_exits_one(self, monkeypatch, capsys):
+        def diverge(case, schedule, stats):
+            stats.divergences.append(f"seed {case.seed}: injected")
 
-        assert main(["chaos", "--seed", "0", "--cases", "8"]) == 0
-        assert "chaos campaign: 8 cases" in capsys.readouterr().out
+        title, counters, _ = KINDS["faults"]
+        monkeypatch.setitem(KINDS, "faults", (title, counters, diverge))
+        assert chaos_main(["--seed", "0", "--cases", "5"]) == 1
+        captured = capsys.readouterr()
+        assert "SILENT seed" in captured.out
+        assert "FAIL" in captured.err

@@ -3,8 +3,8 @@
 :func:`repro.runtime.driver.replay_faults` runs one environment through
 both implementations and diffs them field by field; any mismatch is a
 silent anomaly.  These tests pin the differential on handcrafted
-boundary cases and on a seeded slice of the chaos campaign (CI runs the
-full 200-event campaign in the ``runtime-smoke`` job).
+boundary cases and on a seeded slice of the ``runtime`` chaos campaign
+(CI runs the full 200-event campaign in the ``campaigns`` job).
 """
 
 import random
@@ -15,8 +15,14 @@ from repro.core.graph import ConstraintGraph
 from repro.core.scheduler import schedule_graph
 from repro.core.watchdog import WatchdogConfig, WatchdogPolicy
 from repro.resilience.faults import Fault, FaultKind, FaultPlan, run_with_faults
-from repro.runtime import OnlineExecutor, drive, events_from_result, replay_faults
-from repro.runtime.chaos import run_campaign
+from repro.resilience.chaos import run_campaign
+from repro.runtime import (
+    OnlineExecutor,
+    drive,
+    events_from_result,
+    replay_faults,
+    static_completion_events,
+)
 
 
 def chain_graph():
@@ -91,6 +97,8 @@ class TestEventsFromResult:
         done = dict(sim.result.done_times)
         assert done["z_first"] == done["a_second"]  # a genuine tie
         assert [e.anchor for e in events] == ["z_first", "a_second"]
+        assert static_completion_events(schedule, {}) == [
+            (e.anchor, e.cycle) for e in events]
         log = OnlineExecutor(schedule).run(events)
         assert log.complete
         assert log.spurious_rejections == 0
@@ -142,21 +150,16 @@ class TestReplayDifferential:
         assert replay.log.spurious_rejections == 1
 
     def test_seeded_campaign_slice_has_no_silent_anomalies(self):
-        # A deterministic slice of what the CI runtime-smoke job runs
-        # at 200 events; anomalies list the diverging fields per seed.
-        stats = run_campaign(start_seed=1, events=60)
-        assert stats.silent == 0, stats.anomalies
+        # A deterministic slice of what the CI campaigns job runs at
+        # 200 events; divergences list the diverging fields per seed.
+        stats = run_campaign("runtime", start_seed=1, events=60)
+        assert stats.silent == 0, stats.divergences
         assert stats.events >= 60
 
     def test_campaign_covers_every_policy_outcome(self):
         rng = random.Random(0)
-        seen = set()
-        stats = run_campaign(start_seed=rng.randint(0, 10), events=80)
-        if stats.completed:
-            seen.add("completed")
-        if stats.aborted:
-            seen.add("aborted")
-        if stats.degraded:
-            seen.add("degraded")
+        stats = run_campaign("runtime", start_seed=rng.randint(0, 10),
+                             events=80)
+        seen = {name for name, n in stats.counters.items() if n}
         assert "completed" in seen
         assert len(seen) >= 2, stats.summary()

@@ -19,7 +19,12 @@ from repro.core.scheduler import IterativeIncrementalScheduler, schedule_graph
 from repro.core.watchdog import WatchdogConfig, WatchdogPolicy
 from repro.designs.random_graphs import random_constraint_graph
 from repro.resilience.guard import guarded_schedule
-from repro.runtime import CompletionEvent, OnlineExecutor, execute_stream
+from repro.runtime import (
+    CompletionEvent,
+    OnlineExecutor,
+    execute_stream,
+    static_completion_events,
+)
 
 
 def chain_graph():
@@ -51,19 +56,9 @@ def double_graph():
 
 
 def stream_for(schedule, profile):
-    """The complete, cycle-ordered event stream *profile* would emit.
-
-    Same-cycle ties stream in forward topological order, like a real
-    environment: a gating anchor's completion precedes a dependent's
-    zero-delay completion on the same cycle.
-    """
-    done = schedule.start_times(profile)
-    order = {name: position for position, name
-             in enumerate(schedule.graph.forward_topological_order())}
-    source = schedule.graph.source
-    triples = sorted((done[a] + profile.get(a, 0), order[a], a)
-                     for a in schedule.graph.anchors if a != source)
-    return [CompletionEvent(anchor, cycle) for cycle, _, anchor in triples]
+    """The complete, cycle-ordered event stream *profile* would emit."""
+    return [CompletionEvent(anchor, cycle) for anchor, cycle
+            in static_completion_events(schedule, profile)]
 
 
 class TestAnomalyFreedom:

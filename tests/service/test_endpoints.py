@@ -20,6 +20,7 @@ from repro.io import schedule_to_dict
 from repro.qa.serialize import graph_to_dict
 from repro.resilience.guard import RunBudget
 from repro.service import ServiceClient, ServiceConfig, ServiceServer
+from repro.service.app import SchedulingService
 
 
 def make_server(**overrides):
@@ -153,6 +154,9 @@ class TestRoundTrips:
     def test_chaos_campaign(self, client):
         status, body = client.chaos(seed=7, cases=4)
         assert status == 200
+        assert set(body) == {"cases", "unschedulable", "faultless",
+                             "detected", "masked", "silent", "divergences",
+                             "summary"}
         assert body["cases"] == 4
         assert body["silent"] == 0
         assert "chaos campaign" in body["summary"]
@@ -246,6 +250,18 @@ class TestErrorContract:
         assert status == 200  # fine under the default budget
         with ServiceClient(port=server.port, tenant="tiny") as tiny:
             status, body = tiny.schedule(graph_dict)
+        assert status == 429
+        assert body["error_type"] == "BudgetExceededError"
+
+    def test_tenant_deadline_holds_with_batching_on(self):
+        # One coalesced sweep serves several tenants, so a request with
+        # a deadline must not reach the batcher.
+        service = SchedulingService(ServiceConfig(
+            tenant_budgets={"t": RunBudget(deadline_s=1e-9)}))
+        assert service.batcher is not None
+        status, body = service.dispatch(
+            "POST", "/schedule", {"graph": graph_to_dict(pipeline_graph())},
+            tenant="t")
         assert status == 429
         assert body["error_type"] == "BudgetExceededError"
 

@@ -154,6 +154,28 @@ class TestIdempotentReplay:
         assert again.pop("replayed") is True
         assert again == first  # byte-identical acknowledgement
 
+    @pytest.mark.parametrize("recovered", [False, True])
+    def test_reused_seq_with_another_batch_409(self, tmp_path, recovered):
+        config = ServiceConfig(journal_dir=str(tmp_path),
+                               journal_fsync="never")
+        service = SchedulingService(config)
+        _, body = service.dispatch(
+            "POST", "/sessions", {"graph": graph_to_dict(two_anchor_graph())})
+        path = f"/sessions/{body['session']}/events"
+        _, ack = service.dispatch("POST", path,
+                                  {"seq": 1, "events": [["io1", 9]]})
+        if recovered:  # a restart: the table is rebuilt from the journal
+            service = SchedulingService(config)
+        status, conflict = service.dispatch(
+            "POST", path, {"seq": 1, "events": [["io2", 21]]})
+        assert status == 409
+        assert conflict["error_type"] == "SequenceConflictError"
+        status, again = service.dispatch("POST", path,
+                                         {"seq": 1, "events": [["io1", 9]]})
+        assert status == 200
+        assert again.pop("replayed") is True
+        assert again == ack
+
     def test_sequence_gap_409(self, client):
         _, body = client.create_session(graph_to_dict(chain_graph()))
         sid = body["session"]
