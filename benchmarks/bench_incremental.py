@@ -40,12 +40,11 @@ def prepared(n_ops: int):
 def test_incremental_addition(benchmark, n_ops):
     schedule, constraint = prepared(n_ops)
     updated = benchmark(lambda: add_constraint_incremental(
-        schedule, constraint, validate=False))
+        schedule, constraint))
     # exactness against from-scratch
     scratch_graph = schedule.graph.copy()
     constraint.apply(scratch_graph)
-    scratch = schedule_graph(scratch_graph, anchor_mode=AnchorMode.FULL,
-                             validate=False)
+    scratch = schedule_graph(scratch_graph, anchor_mode=AnchorMode.FULL)
     assert updated.offsets == scratch.offsets
 
 
@@ -56,8 +55,7 @@ def test_from_scratch_addition(benchmark, n_ops):
     def scratch():
         graph = schedule.graph.copy()
         constraint.apply(graph)
-        return schedule_graph(graph, anchor_mode=AnchorMode.FULL,
-                              validate=False)
+        return schedule_graph(graph, anchor_mode=AnchorMode.FULL)
 
     result = benchmark(scratch)
     assert result.offsets

@@ -70,11 +70,12 @@ class GraphStructureError(ConstraintGraphError):
 class MalformedInputError(GraphStructureError):
     """Untrusted serialized input failed strict validation.
 
-    Raised by :func:`repro.io.validate_graph_dict` (and the
-    loaders built on it) for structurally broken graph JSON: missing
-    keys, wrong types, NaN or out-of-range weights, duplicate edges,
-    self-loops.  A subclass of :class:`GraphStructureError` so every
-    existing ``error:``-line handler already covers it.
+    Raised by :func:`repro.io.validate_graph_dict` (and the loaders
+    built on it) for broken graph JSON -- missing keys, wrong types, NaN
+    or out-of-range weights, duplicate edges, self-loops -- and by
+    :func:`repro.io.schedule_from_dict` for a schedule that is not the
+    certified schedule of its graph.  A :class:`GraphStructureError`, so
+    every ``error:``-line handler already covers it.
     """
 
 
@@ -111,14 +112,13 @@ class BudgetExceededError(ConstraintGraphError):
 class OffsetViolation:
     """The witness of one violated edge inequality of a schedule.
 
-    Produced identically by the vectorized certification kernel
-    (:func:`repro.core.indexed.find_offset_violation`) and by the
-    per-edge reference scan (:meth:`RelativeSchedule.validate`), so the
-    linter, the exception path, and the differential tests all speak
-    about the same object: the edge ``(tail, head)`` with static weight
-    ``weight`` whose inequality ``sigma_a(head) >= sigma_a(tail) + w``
-    fails for anchor ``anchor`` (tail anchors read at their implicit
-    self offset 0, per Definition 3).
+    Produced by the one schedule certificate
+    (:func:`repro.core.indexed.offset_violation`), and named identically
+    by its dict reference scan: the first edge ``(tail, head)``, in
+    insertion order, with static weight ``weight`` whose inequality
+    ``sigma_a(head) >= sigma_a(tail) + w`` fails, at its lowest-slot
+    anchor ``anchor`` (tail anchors read at their implicit self offset
+    0, per Definition 3).
     """
 
     edge: "Edge"

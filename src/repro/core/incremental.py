@@ -31,8 +31,7 @@ from repro.observability.tracer import STATE as _OBS
 
 
 def add_constraint_incremental(schedule: RelativeSchedule,
-                               constraint: TimingConstraint,
-                               validate: bool = True) -> RelativeSchedule:
+                               constraint: TimingConstraint) -> RelativeSchedule:
     """Add *constraint* to a scheduled graph and reschedule incrementally.
 
     The graph is copied (the input schedule stays valid for the old
@@ -42,7 +41,6 @@ def add_constraint_incremental(schedule: RelativeSchedule,
     Args:
         schedule: a minimum relative schedule of the current graph.
         constraint: the min/max timing constraint to add.
-        validate: check the resulting schedule's inequalities.
 
     Returns:
         The minimum relative schedule of the extended graph.
@@ -89,15 +87,11 @@ def add_constraint_incremental(schedule: RelativeSchedule,
     anchor_sets = anchor_sets_for_mode(graph, schedule.anchor_mode)
     scheduler = IterativeIncrementalScheduler(
         graph, anchor_mode=schedule.anchor_mode, anchor_sets=anchor_sets)
-    result = scheduler.run_from(schedule.offsets)
-    if validate:
-        result.validate()
-    return result
+    return scheduler.run_from(schedule.offsets)
 
 
 def reschedule_with_observed(schedule: RelativeSchedule,
-                             observed: Mapping[str, int],
-                             validate: bool = False) -> RelativeSchedule:
+                             observed: Mapping[str, int]) -> RelativeSchedule:
     """Fold observed anchor delays into the graph and warm-reschedule.
 
     The *rebound* schedule of partial completion state (what
@@ -122,12 +116,13 @@ def reschedule_with_observed(schedule: RelativeSchedule,
         schedule: a minimum relative schedule of the current graph.
         observed: anchor name -> observed execution delay (``done -
             start``), for any subset of the non-source anchors.
-        validate: check the resulting schedule's inequalities.
 
     Raises:
         GraphStructureError: an entry names the source, a non-anchor,
             or carries a negative/non-int delay.
         InconsistentConstraintsError: scheduling did not converge.
+        ScheduleViolationError: the rebound offsets fail the schedule
+            certificate (a kernel bug).
     """
     graph = schedule.graph.copy()
     for anchor in sorted(observed):
@@ -142,14 +137,10 @@ def reschedule_with_observed(schedule: RelativeSchedule,
     anchor_sets = anchor_sets_for_mode(graph, schedule.anchor_mode)
     scheduler = IterativeIncrementalScheduler(
         graph, anchor_mode=schedule.anchor_mode, anchor_sets=anchor_sets)
-    result = scheduler.run_from(schedule.offsets)
-    if validate:
-        result.validate()
-    return result
+    return scheduler.run_from(schedule.offsets)
 
 
-def without_constraint(schedule: RelativeSchedule, edge: Edge,
-                       validate: bool = True) -> RelativeSchedule:
+def without_constraint(schedule: RelativeSchedule, edge: Edge) -> RelativeSchedule:
     """Remove a constraint edge and reschedule (from scratch -- removal
     can only lower offsets, so warm starts are unsound)."""
     from repro.core.scheduler import schedule_graph
@@ -161,8 +152,5 @@ def without_constraint(schedule: RelativeSchedule, edge: Edge,
                      tail=edge.tail, head=edge.head)
     graph = schedule.graph.copy()
     graph.remove_edge(edge)
-    result = schedule_graph(graph, anchor_mode=schedule.anchor_mode,
-                            auto_well_pose=False, validate=validate)
-    return result
-
-
+    return schedule_graph(graph, anchor_mode=schedule.anchor_mode,
+                          auto_well_pose=False)

@@ -30,7 +30,9 @@ On top of it the hot loops are rewritten as flat array code:
   the dense ``|V|`` rounds over the full edge list;
 * :func:`schedule_offsets` -- the iterative incremental scheduler with
   per-vertex offset arrays instead of dict copies, and downstream-only
-  propagation after the first sweep.
+  propagation after the first sweep;
+* :func:`offset_violation` -- the one schedule certificate, over the
+  same int rows.
 
 The compilation is memoised on the graph's versioned analysis cache
 (:meth:`ConstraintGraph.cached`), so one compilation serves the whole
@@ -45,17 +47,21 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.exceptions import (
     CyclicForwardGraphError,
     InconsistentConstraintsError,
     IndexedKernelUnsupported,
     OffsetViolation,
+    ScheduleViolationError,
     UnfeasibleConstraintsError,
 )
 from repro.core.graph import ConstraintGraph, Edge, EdgeKind
 from repro.observability.tracer import STATE as _OBS
+
+if TYPE_CHECKING:  # the scheduler module imports this one at call time
+    from repro.core.scheduler import ScheduleTrace
 
 try:  # numpy accelerates the dense anchor analyses; every consumer has
     import numpy as _np  # a pure-Python fallback, so its absence only
@@ -861,8 +867,9 @@ def _vector_round1(graph: ConstraintGraph, idx: IndexedGraph,
 
 def schedule_offsets(graph: ConstraintGraph,
                      anchor_sets: Dict[str, FrozenSet[str]],
-                     return_raw: bool = False,
-                     initial: Optional[Dict[str, Dict[str, int]]] = None):
+                     initial: Optional[Dict[str, Dict[str, int]]] = None,
+                     trace: Optional[ScheduleTrace] = None
+                     ) -> Tuple[Dict[str, Dict[str, int]], int]:
     """Section IV-E scheduling on the indexed compilation.
 
     Offsets are per-vertex int arrays over anchor slots (-1 for
@@ -879,17 +886,23 @@ def schedule_offsets(graph: ConstraintGraph,
     rescheduling after a constraint addition passes the previous
     schedule's offsets here.
 
+    With *trace*, each round's compute and readjust snapshots are
+    appended to it (Fig. 10).  The converged rows are certified by
+    :func:`offset_violation` before any dict is built.
+
     Returns ``(offsets, iterations)`` with offsets in the public
-    dict-of-dict shape; with *return_raw* additionally the internal
-    per-vertex offset rows (-1 untracked), which
-    :func:`certify_offset_lists` can validate without a dict round-trip.
+    dict-of-dict shape.
 
     Raises:
         IndexedKernelUnsupported: an anchor set names a tag that is not
             an anchor vertex of the graph, or a vertex the graph lacks.
         InconsistentConstraintsError: no convergence in ``|Eb| + 1``
             rounds (Corollary 2).
+        ScheduleViolationError: the converged rows fail the certificate
+            (a kernel bug).
     """
+    if trace is not None:
+        from repro.core.scheduler import IterationRecord
     idx = get_indexed(graph)
     topo = _topo_indices(graph, idx)
     n = idx.n
@@ -1034,16 +1047,27 @@ def schedule_offsets(graph: ConstraintGraph,
                     violations.append((b, tail_slot))
         if rec:
             relaxed = _count_row_raises(before, offsets)
+        if trace is not None:
+            computed = _offsets_to_dicts(idx, tracked, offsets)
         if not violations:
             if rec:
                 tracer.count("scheduler.relaxations", relaxed)
                 tracer.event("scheduler.iteration", round=round_index,
                              violations=0, relaxations=relaxed,
                              kernel="indexed")
-            result = _offsets_to_dicts(idx, tracked, offsets)
-            if return_raw:
-                return result, round_index, offsets
-            return result, round_index
+            if trace is not None:
+                trace.records.append(IterationRecord(
+                    round_index, computed, [], computed))
+            if rec:
+                tracer.begin_span("pipeline.validation")
+            try:
+                violation = offset_violation(graph, offsets, tracked)
+            finally:
+                if rec:
+                    tracer.end_span()
+            if violation is not None:
+                raise ScheduleViolationError(violation)
+            break
 
         # -- ReadjustOffsets --------------------------------------------
         if rec:
@@ -1066,18 +1090,27 @@ def schedule_offsets(graph: ConstraintGraph,
             tracer.event("scheduler.iteration", round=round_index,
                          violations=len(violations), relaxations=relaxed,
                          kernel="indexed")
+        if trace is not None:
+            trace.records.append(IterationRecord(
+                round_index, computed,
+                [(idx.backward_edges[b], idx.anchor_names[slot])
+                 for b, slot in violations],
+                _offsets_to_dicts(idx, tracked, offsets)))
+    converged = not violations
     if rec:
-        # The scheduler emits a converged run's summary event; the
-        # inconsistent outcome is only visible here.
+        if converged:
+            tracer.count("kernel.indexed_runs")
         tracer.count("scheduler.runs")
-        tracer.count("scheduler.iterations", max_rounds)
-        tracer.event("scheduler.run", iterations=max_rounds,
+        tracer.count("scheduler.iterations", round_index)
+        tracer.event("scheduler.run", iterations=round_index,
                      bound=max_rounds, backward_edges=len(backward),
                      warm=initial is not None, kernel="indexed",
-                     converged=False)
-    raise InconsistentConstraintsError(
-        f"no schedule after {max_rounds} iterations: timing constraints "
-        f"are inconsistent (Corollary 2)")
+                     converged=converged)
+    if not converged:
+        raise InconsistentConstraintsError(
+            f"no schedule after {max_rounds} iterations: timing "
+            f"constraints are inconsistent (Corollary 2)")
+    return _offsets_to_dicts(idx, tracked, offsets), round_index
 
 
 def _count_row_raises(before: List[List[int]],
@@ -1091,76 +1124,81 @@ def _count_row_raises(before: List[List[int]],
     return changed
 
 
-#: Tri-state results of the vectorized schedule certification.
-CERTIFIED = "certified"
-VIOLATION = "violation"
-UNKNOWN = "unknown"
+def offset_rows(graph: ConstraintGraph, offsets: Dict[str, Dict[str, int]]
+                ) -> Tuple[List[List[int]], List[List[int]]]:
+    """Pack dict-of-dict *offsets* into :func:`offset_violation`'s rows
+    and tracked slots.
 
-
-def find_offset_violation(
-        graph: ConstraintGraph,
-        offsets: Dict[str, Dict[str, int]],
-) -> Tuple[str, Optional[OffsetViolation]]:
-    """One vectorized pass over every edge inequality of a schedule.
-
-    Returns ``(CERTIFIED, None)`` when every edge ``(t, h, w)``
-    satisfies ``sigma_a(h) >= sigma_a(t) + w`` for each anchor tracked
-    at both endpoints (tail anchors at their implicit self offset 0).
-    Returns ``(VIOLATION, witness)`` with the *exact* per-edge
-    :class:`~repro.core.exceptions.OffsetViolation` the reference scan
-    would report -- the first violated edge in graph insertion order --
-    so callers never re-run the precise scan just to name the edge.
-    Returns ``(UNKNOWN, None)`` when the kernel cannot decide: no
-    numpy, below the numpy gate, non-anchor offset tags, or negative
-    offsets (the reference scan is then the authority).
+    Raises:
+        ValueError: an entry names a vertex the graph lacks, a tag that
+            is not an anchor, or a negative offset.
     """
-    if _np is None:
-        return UNKNOWN, None
     idx = get_indexed(graph)
-    if not _use_numpy(idx, "table_check"):
-        return UNKNOWN, None
     index = idx.index
-    anchor_slot = idx.anchor_slot
-    m = idx.n_anchors
-    neg = -_np.inf
-    flat: List[int] = []
-    values: List[int] = []
-    try:
-        for name, entries in offsets.items():
-            base = index[name] * m
-            for anchor, sigma in entries.items():
-                slot = anchor_slot[index[anchor]]
-                if slot < 0:
-                    return UNKNOWN, None
-                flat.append(base + slot)
-                values.append(sigma)
-    except KeyError:
-        return UNKNOWN, None
-    if values and min(values) < 0:
-        return UNKNOWN, None
-    table = _np.full((idx.n, m), neg)
-    table.put(flat, values)
-    found = _find_table_violation(idx, table)
-    if found is None:
-        return CERTIFIED, None
-    return VIOLATION, _violation_witness(idx, table, found)
+    rows = [[-1] * idx.n_anchors for _ in range(idx.n)]
+    tracked: List[List[int]] = [[] for _ in range(idx.n)]
+    for name, entries in offsets.items():
+        if name not in index:
+            raise ValueError(f"offsets name unknown vertex {name!r}")
+        v = index[name]
+        for anchor, sigma in entries.items():
+            slot = idx.anchor_slot[index[anchor]] if anchor in index else -1
+            if slot < 0:
+                raise ValueError(
+                    f"offset tag {anchor!r} of {name!r} is not an anchor")
+            if sigma < 0:
+                raise ValueError(f"negative offset {sigma} for anchor "
+                                 f"{anchor!r} at {name!r}")
+            rows[v][slot] = sigma
+            tracked[v].append(slot)
+        tracked[v].sort()
+    return rows, tracked
 
 
-def certify_offset_lists(graph: ConstraintGraph,
-                         rows: List[List[int]]) -> bool:
-    """The vectorized edge check over the scheduler's raw offset rows
-    (-1 untracked), skipping the dict round-trip of
-    :func:`find_offset_violation`."""
-    if _np is None:
-        return False
+def offset_violation(graph: ConstraintGraph, rows: List[List[int]],
+                     tracked: List[List[int]]) -> Optional[OffsetViolation]:
+    """The one schedule certificate: the first edge inequality that the
+    offset *rows* (per vertex over anchor slots, -1 untracked; *tracked*
+    lists each row's slots ascending) break, or None.
+
+    Every edge ``(t, h)`` with static weight ``w`` must satisfy
+    ``sigma_a(h) >= sigma_a(t) + w`` for each anchor tracked at both
+    ends, a tail anchor at its implicit offset 0 (Definition 3).  The
+    witness is the first violated edge in insertion order, at its lowest
+    anchor slot.  Below the ``table_check`` gate this is one scalar pass
+    over the edges; at or above it, one numpy comparison of the table.
+    """
     idx = get_indexed(graph)
-    if not _use_numpy(idx, "table_check"):
-        return False
-    table = _np.array(rows, dtype=_np.float64)
-    if table.shape != (idx.n, idx.n_anchors):
-        return False
-    table[table < 0] = -_np.inf  # -1 marks untracked; offsets are >= 0
-    return _find_table_violation(idx, table) is None
+    tails, heads, weights = idx._edge_raw
+    found = None
+    if _use_numpy(idx, "table_check"):
+        table = _np.array(rows, dtype=_np.float64)
+        table[table < 0] = -_np.inf
+        found = _find_table_violation(idx, table)
+    else:
+        anchor_slot = idx.anchor_slot
+        for e, (t, h, w) in enumerate(zip(tails, heads, weights)):
+            tail_row, head_row = rows[t], rows[h]
+            lowest = -1
+            for slot in tracked[t]:
+                if 0 <= head_row[slot] < tail_row[slot] + w:
+                    lowest = slot
+                    break
+            own = anchor_slot[t]  # a tail anchor, at its implicit 0
+            if (own >= 0 and tail_row[own] < 0 and 0 <= head_row[own] < w
+                    and not 0 <= lowest < own):
+                lowest = own
+            if lowest >= 0:
+                found = e, lowest
+                break
+    if found is None:
+        return None
+    e, slot = found
+    edge = idx.edges[e]
+    return OffsetViolation(edge=edge, anchor=idx.anchor_names[slot],
+                           head_offset=rows[heads[e]][slot],
+                           tail_offset=max(rows[tails[e]][slot], 0),
+                           weight=edge.static_weight)
 
 
 def _find_table_violation(idx: IndexedGraph,
@@ -1183,27 +1221,6 @@ def _find_table_violation(idx: IndexedGraph,
         return None
     edge_index, slot = _np.argwhere(violated)[0]
     return int(edge_index), int(slot)
-
-
-def _violation_witness(idx: IndexedGraph, table,
-                       found: Tuple[int, int]) -> OffsetViolation:
-    """Map a ``(edge_index, anchor_slot)`` finding back to the shared
-    :class:`OffsetViolation` witness the reference scan produces."""
-    edge_index, slot = found
-    edge = idx.edges[edge_index]
-    anchor = idx.anchor_names[slot]
-    t = idx.index[edge.tail]
-    h = idx.index[edge.head]
-    tail_offset = table[t, slot]
-    if tail_offset == -_np.inf:
-        tail_offset = 0  # the tail is the anchor itself (Definition 3)
-    return OffsetViolation(
-        edge=edge,
-        anchor=anchor,
-        head_offset=int(table[h, slot]),
-        tail_offset=int(tail_offset),
-        weight=edge.static_weight,
-    )
 
 
 def _offsets_to_dicts(idx: IndexedGraph, tracked: List[List[int]],

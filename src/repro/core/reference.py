@@ -12,11 +12,12 @@ algorithms exactly as shipped in the seed so that
 * the perf trajectory harness (``benchmarks/run_benchsuite.py``) can
   measure the speedup of the indexed kernel against the original
   implementation *in the same run*, and
-* ``IterativeIncrementalScheduler(record_trace=True)`` can record the
-  per-round dict snapshots of the paper's Fig. 10 trace.
+* benchmark oracles can certify expected schedules without the kernel
+  they check (:func:`offset_violation_reference`).
 
-Nothing here consults the versioned analysis cache: every function
-recomputes from the raw graph, exactly as the seed did.
+No production path calls this module, and nothing here consults the
+versioned analysis cache: every function recomputes from the raw
+graph, exactly as the seed did.
 """
 
 from __future__ import annotations
@@ -26,12 +27,14 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from repro.core.anchors import AnchorMode, AnchorSets
 from repro.core.exceptions import (
     InconsistentConstraintsError,
+    OffsetViolation,
+    ScheduleViolationError,
     UnfeasibleConstraintsError,
 )
 from repro.core.graph import ConstraintGraph, Edge
 from repro.core.paths import NO_PATH
 from repro.core.schedule import RelativeSchedule
-from repro.core.scheduler import IterationRecord, OffsetState, ScheduleTrace
+from repro.core.scheduler import OffsetState
 from repro.observability.tracer import STATE as _OBS
 
 # ----------------------------------------------------------------------
@@ -278,8 +281,7 @@ def anchor_sets_for_mode_reference(graph: ConstraintGraph,
 
 
 def schedule_offsets_reference(graph: ConstraintGraph, anchor_sets: AnchorSets,
-                               initial: Optional[OffsetState] = None, *,
-                               trace: Optional[ScheduleTrace] = None
+                               initial: Optional[OffsetState] = None
                                ) -> Tuple[OffsetState, int]:
     """Section IV-E on dict-of-dict offsets (the seed scheduler).
 
@@ -287,8 +289,7 @@ def schedule_offsets_reference(graph: ConstraintGraph, anchor_sets: AnchorSets,
     returns ``(offsets, iterations)``, warm-starts from *initial* when
     given (entries the anchor sets do not track are dropped, negatives
     clamped to 0), and produces the same per-round fixpoints and
-    violation sets, hence the same iteration count.  With *trace*, each
-    round's compute/readjust snapshots are appended to it (Fig. 10).
+    violation sets, hence the same iteration count.
 
     Raises:
         InconsistentConstraintsError: no convergence in ``|Eb| + 1``
@@ -311,12 +312,8 @@ def schedule_offsets_reference(graph: ConstraintGraph, anchor_sets: AnchorSets,
         _incremental_offset(graph, order, offsets)
         if rec:
             relaxed = _count_raises(before, offsets)
-        computed = _snapshot(offsets) if trace is not None else {}
         violations = _find_violations(graph, offsets, backward)
         if not violations:
-            if trace is not None:
-                trace.records.append(IterationRecord(
-                    round_index, computed, [], computed))
             if rec:
                 tracer.count("scheduler.relaxations", relaxed)
                 tracer.event("scheduler.iteration", round=round_index,
@@ -333,9 +330,6 @@ def schedule_offsets_reference(graph: ConstraintGraph, anchor_sets: AnchorSets,
             tracer.event("scheduler.iteration", round=round_index,
                          violations=len(violations), relaxations=relaxed,
                          kernel="reference")
-        if trace is not None:
-            trace.records.append(IterationRecord(
-                round_index, computed, violations, _snapshot(offsets)))
     if rec:
         tracer.count("kernel.reference_runs")
         tracer.count("scheduler.runs")
@@ -398,7 +392,7 @@ def _with_self(graph: ConstraintGraph, offsets: OffsetState,
                vertex: str) -> Dict[str, int]:
     """The tracked offsets of *vertex*, plus the implicit normalized
     ``sigma_vertex(vertex) = 0`` when the vertex is an anchor."""
-    entries = offsets[vertex]
+    entries = offsets.get(vertex, {})
     if graph.is_anchor(vertex) and vertex not in entries:
         entries = dict(entries)
         entries[vertex] = 0
@@ -465,14 +459,34 @@ def check_well_posed_reference(graph: ConstraintGraph):
     return WellPosedness.WELL_POSED
 
 
+def offset_violation_reference(graph: ConstraintGraph,
+                               offsets: OffsetState) -> Optional[OffsetViolation]:
+    """The schedule certificate as a dict scan over every edge: same
+    contract and witness as :func:`repro.core.indexed.offset_violation`
+    (``graph.anchors`` is slot order)."""
+    slot = {anchor: i for i, anchor in enumerate(graph.anchors)}
+    for edge in graph.edges():
+        tail_offsets = _with_self(graph, offsets, edge.tail)
+        head_offsets = offsets.get(edge.head, {})
+        weight = edge.static_weight
+        broken = [anchor for anchor, sigma in tail_offsets.items()
+                  if anchor in head_offsets
+                  and head_offsets[anchor] < sigma + weight]
+        if broken:
+            anchor = min(broken, key=slot.__getitem__)
+            return OffsetViolation(
+                edge=edge, anchor=anchor, head_offset=head_offsets[anchor],
+                tail_offset=tail_offsets[anchor], weight=weight)
+    return None
+
+
 def schedule_graph_reference(graph: ConstraintGraph,
                              anchor_mode: AnchorMode = AnchorMode.IRREDUNDANT,
-                             auto_well_pose: bool = True,
-                             validate: bool = True):
+                             auto_well_pose: bool = True) -> RelativeSchedule:
     """The seed's Fig. 9 pipeline on the retained dict code paths.
 
     Mirrors :func:`repro.core.scheduler.schedule_graph` but routes every
-    stage through this module, scheduler loops included, so the whole
+    stage through this module, certificate included, so the whole
     pipeline exercises the original implementation end to end.
     """
     from repro.core.exceptions import IllPosedError
@@ -490,9 +504,9 @@ def schedule_graph_reference(graph: ConstraintGraph,
 
     anchor_sets = anchor_sets_for_mode_reference(graph, anchor_mode)
     offsets, iterations = schedule_offsets_reference(graph, anchor_sets)
-    schedule = RelativeSchedule(
+    violation = offset_violation_reference(graph, offsets)
+    if violation is not None:
+        raise ScheduleViolationError(violation)
+    return RelativeSchedule(
         graph=graph, anchor_sets=anchor_sets, offsets=offsets,
         anchor_mode=anchor_mode, iterations=iterations)
-    if validate:
-        schedule.validate()
-    return schedule

@@ -16,11 +16,11 @@ the central optimality property of relative scheduling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.anchors import AnchorMode, AnchorSets
-from repro.core.exceptions import OffsetViolation, ScheduleViolationError
+from repro.core.exceptions import ScheduleViolationError
 from repro.core.graph import ConstraintGraph
 
 
@@ -47,10 +47,6 @@ class RelativeSchedule:
     anchor_mode: AnchorMode = AnchorMode.FULL
     iterations: int = 0
     watchdog: Optional[Dict[str, int]] = None
-    #: (graph version, raw offset rows) stamped by the indexed scheduler
-    #: so re-validation can reuse the vectorized row check; internal.
-    _raw_offset_rows: Optional[Tuple[int, List[List[int]]]] = field(
-        default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # accessors
@@ -154,56 +150,24 @@ class RelativeSchedule:
 
         For each edge ``(t, h)`` with static weight ``w`` and each anchor
         ``a`` tracked for both endpoints, require
-        ``sigma_a(h) >= sigma_a(t) + w``; additionally, an unbounded
-        forward edge ``(t, h)`` whose tail is tracked for ``h`` requires
-        ``sigma_t(h) >= 0`` (trivially true, offsets are non-negative).
+        ``sigma_a(h) >= sigma_a(t) + w`` (a tail anchor at its implicit
+        offset 0).  The offsets are packed into the kernel's int rows and
+        checked by the same certificate the scheduler applies to its own
+        output (:func:`repro.core.indexed.offset_violation`).
 
         Raises:
             ScheduleViolationError: (a :class:`ValueError`) carrying the
-                :class:`OffsetViolation` witness of the first violated
-                edge.
+                :class:`~repro.core.exceptions.OffsetViolation` witness
+                of the first violated edge.
+            ValueError: the offsets name a vertex the graph lacks, a tag
+                that is not an anchor, or a negative offset.
         """
-        from repro.core.indexed import UNKNOWN, find_offset_violation
+        from repro.core.indexed import offset_rows, offset_violation
 
-        # One vectorized pass decides most schedules, surfacing the
-        # same per-edge witness the reference scan produces; only the
-        # cases the kernel cannot represent (no numpy, non-anchor
-        # offset tags, negative offsets) fall through to the scan.
-        status, violation = find_offset_violation(self.graph, self.offsets)
+        rows, tracked = offset_rows(self.graph, self.offsets)
+        violation = offset_violation(self.graph, rows, tracked)
         if violation is not None:
             raise ScheduleViolationError(violation)
-        if status is not UNKNOWN:
-            return
-
-        memo: Dict[str, Dict[str, int]] = {}
-
-        def with_self(vertex: str) -> Dict[str, int]:
-            entries = memo.get(vertex)
-            if entries is None:
-                entries = self.offsets.get(vertex, {})
-                if self.graph.is_anchor(vertex) and vertex not in entries:
-                    entries = dict(entries)
-                    entries[vertex] = 0
-                memo[vertex] = entries
-            return entries
-
-        for edge in self.graph.edges():
-            tail_offsets = with_self(edge.tail)
-            head_offsets = self.offsets.get(edge.head, {})
-            weight = edge.static_weight
-            for anchor, sigma_tail in tail_offsets.items():
-                if anchor not in head_offsets:
-                    continue
-                if head_offsets[anchor] < sigma_tail + weight:
-                    raise ScheduleViolationError(OffsetViolation(
-                        edge=edge, anchor=anchor,
-                        head_offset=head_offsets[anchor],
-                        tail_offset=sigma_tail, weight=weight))
-            if edge.is_unbounded and edge.tail in head_offsets:
-                if head_offsets[edge.tail] < 0:
-                    raise ValueError(
-                        f"negative offset {head_offsets[edge.tail]} for anchor "
-                        f"{edge.tail!r} at {edge.head!r}")
 
     def as_table(self) -> List[Tuple[str, List[str], Dict[str, int]]]:
         """Rows in the style of Table II: (vertex, sorted anchor set,

@@ -17,9 +17,9 @@ If a round completes with no violated backward edge the offsets are the
 
 The scheduler can run with full, relevant, or irredundant anchor sets
 (Theorems 4 and 6 make the three equivalent on well-posed graphs).  It
-runs on the indexed array kernel of :mod:`repro.core.indexed`; the
-seed's dict loops live on in :mod:`repro.core.reference` as the
-differential reference and as the recorder of the Fig. 10 trace.
+runs on the indexed array kernel of :mod:`repro.core.indexed`, which
+certifies its own offsets and records the Fig. 10 trace; the seed's
+dict loops in :mod:`repro.core.reference` are the differential reference.
 """
 
 from __future__ import annotations
@@ -121,9 +121,8 @@ class IterativeIncrementalScheduler:
             recomputation; callers doing the full pipeline pass the
             irredundant sets here).  Every tag must be an anchor vertex
             of *graph*.
-        record_trace: keep per-iteration snapshots (Fig. 10).  The
-            snapshots *are* dict states, so a traced run executes on the
-            dict loops of :mod:`repro.core.reference`.
+        record_trace: keep per-iteration snapshots (Fig. 10) in
+            :attr:`trace`, recorded by the kernel as dict states.
         deadline: absolute ``time.perf_counter()`` value after which the
             run aborts with :class:`BudgetExceededError`; checked before
             the run starts.
@@ -137,7 +136,6 @@ class IterativeIncrementalScheduler:
         self.graph = graph
         self.anchor_mode = anchor_mode
         self.anchor_sets = anchor_sets or anchor_sets_for_mode(graph, anchor_mode)
-        self.record_trace = record_trace
         self.deadline = deadline
         self.trace: Optional[ScheduleTrace] = ScheduleTrace() if record_trace else None
 
@@ -151,6 +149,8 @@ class IterativeIncrementalScheduler:
                 not an anchor vertex of the graph.
             InconsistentConstraintsError: after ``|Eb| + 1`` rounds with
                 violations remaining (Corollary 2).
+            ScheduleViolationError: the kernel's converged offsets fail
+                the schedule certificate (a kernel bug).
         """
         return self._run(None)
 
@@ -167,9 +167,7 @@ class IterativeIncrementalScheduler:
         entries start at 0, negatives are clamped to 0.
 
         Raises:
-            IndexedKernelUnsupported: as for :meth:`run`.
-            InconsistentConstraintsError: after ``|Eb| + 1`` rounds with
-                violations remaining (Corollary 2).
+            As for :meth:`run`.
         """
         return self._run(previous)
 
@@ -179,46 +177,19 @@ class IterativeIncrementalScheduler:
                 and time.perf_counter() > self.deadline):
             raise BudgetExceededError(
                 "wall-clock deadline exceeded before scheduling started")
-        if self.record_trace:
-            from repro.core.reference import schedule_offsets_reference
-
-            offsets, iterations = schedule_offsets_reference(
-                self.graph, self.anchor_sets, initial, trace=self.trace)
-            return RelativeSchedule(
-                graph=self.graph, anchor_sets=self.anchor_sets,
-                offsets=offsets, anchor_mode=self.anchor_mode,
-                iterations=iterations)
         from repro.core.indexed import schedule_offsets
 
-        offsets, iterations, raw = schedule_offsets(
-            self.graph, self.anchor_sets, return_raw=True, initial=initial)
-        schedule = RelativeSchedule(
+        offsets, iterations = schedule_offsets(
+            self.graph, self.anchor_sets, initial=initial, trace=self.trace)
+        return RelativeSchedule(
             graph=self.graph, anchor_sets=self.anchor_sets,
             offsets=offsets, anchor_mode=self.anchor_mode,
             iterations=iterations)
-        # Raw rows let validate() certify without the dict round-trip,
-        # as long as the graph has not mutated since.
-        schedule._raw_offset_rows = (self.graph.version, raw)
-        tracer = _OBS.tracer
-        if tracer.enabled:
-            # The kernel reports inconsistent runs itself; a converged
-            # run's summary is emitted here.
-            backward = len(self.graph.backward_edges())
-            tracer.count("kernel.indexed_runs")
-            tracer.count("scheduler.runs")
-            tracer.count("scheduler.iterations", iterations)
-            tracer.event("scheduler.run", iterations=iterations,
-                         bound=backward + 1, backward_edges=backward,
-                         warm=initial is not None, kernel="indexed",
-                         converged=True)
-        return schedule
 
 
 def schedule_graph(graph: ConstraintGraph,
                    anchor_mode: AnchorMode = AnchorMode.IRREDUNDANT,
                    auto_well_pose: bool = True,
-                   validate: bool = True,
-                   record_trace: bool = False,
                    watchdog: Optional[Dict[str, int]] = None,
                    deadline: Optional[float] = None) -> RelativeSchedule:
     """Run the paper's full four-step pipeline (Fig. 9) on *graph*.
@@ -250,6 +221,8 @@ def schedule_graph(graph: ConstraintGraph,
         UnfeasibleConstraintsError: positive cycle with delays at 0.
         IllPosedError: ill-posed and cannot be (or may not be) serialized.
         InconsistentConstraintsError: scheduling did not converge.
+        ScheduleViolationError: the converged offsets fail the schedule
+            certificate (a kernel bug).
         GraphStructureError: watchdog bounds naming a non-anchor or
             carrying a negative/non-integer bound.
         BudgetExceededError: the wall-clock deadline expired.
@@ -298,34 +271,16 @@ def schedule_graph(graph: ConstraintGraph,
             scheduler = IterativeIncrementalScheduler(
                 graph, anchor_mode=anchor_mode,
                 anchor_sets=anchor_sets_for_mode(graph, anchor_mode),
-                record_trace=record_trace, deadline=deadline)
+                deadline=deadline)
             schedule = scheduler.run()
         finally:
             if rec:
                 tracer.end_span()
-        if validate:
-            # Fresh from the indexed scheduler the raw offset rows are still
-            # authoritative (nothing can have mutated them between run() and
-            # here), so one array pass replaces the dict-based validation;
-            # anything it cannot certify gets the precise per-edge scan.
-            from repro.core.indexed import certify_offset_lists
-            if rec:
-                tracer.begin_span("pipeline.validation")
-            try:
-                raw = getattr(schedule, "_raw_offset_rows", None)
-                if (raw is None or raw[0] != graph.version
-                        or not certify_offset_lists(graph, raw[1])):
-                    schedule.validate()
-            finally:
-                if rec:
-                    tracer.end_span()
         if watchdog is not None:
             from repro.core.watchdog import validate_watchdog_bounds
 
             schedule.watchdog = validate_watchdog_bounds(
                 watchdog, graph.anchors, graph.source)
-        if record_trace:
-            schedule.trace = scheduler.trace  # type: ignore[attr-defined]
         return schedule
     finally:
         if rec:

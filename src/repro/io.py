@@ -36,10 +36,14 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, IO, Union
 
-from repro.core.anchors import AnchorMode
+from repro.core.anchors import AnchorMode, anchor_sets_for_mode
 from repro.core.constraints import MaxTimingConstraint, MinTimingConstraint
 from repro.core.delay import UNBOUNDED, Delay, is_unbounded
-from repro.core.exceptions import ConstraintGraphError, MalformedInputError
+from repro.core.exceptions import (
+    ConstraintGraphError,
+    MalformedInputError,
+    ScheduleViolationError,
+)
 from repro.core.graph import ConstraintGraph, EdgeKind
 from repro.core.schedule import RelativeSchedule
 from repro.seqgraph.model import Design, OpKind, Operation, SequencingGraph
@@ -301,21 +305,73 @@ def schedule_to_dict(schedule: RelativeSchedule) -> Dict[str, Any]:
     }
 
 
-def schedule_from_dict(data: Dict[str, Any]) -> RelativeSchedule:
-    """Reconstruct a schedule; its graph is rebuilt alongside."""
+def schedule_from_dict(data: Any) -> RelativeSchedule:
+    """Reconstruct a schedule with its graph, and certify it.
+
+    The document must hold the schedule of its own graph: ``anchor_sets``
+    are the sets ``anchor_mode`` derives for the graph, ``offsets`` maps
+    every anchor in each vertex's set to a non-negative int, and the
+    offsets pass :meth:`RelativeSchedule.validate`.
+
+    Raises:
+        MalformedInputError: naming the first way the document is not
+            such a schedule (a rejected certificate keeps its witness
+            message).
+    """
+    if not isinstance(data, dict):
+        raise MalformedInputError(
+            f"serialized schedule must be an object, got {type(data).__name__}")
     _expect(data, "relative_schedule")
+    for key in ("anchor_mode", "iterations", "graph", "anchor_sets", "offsets"):
+        if key not in data:
+            raise MalformedInputError(f"schedule document lacks {key!r}")
+    try:
+        mode = AnchorMode(data["anchor_mode"])
+    except (TypeError, ValueError):
+        raise MalformedInputError(
+            f"unknown anchor_mode {data['anchor_mode']!r}") from None
+    if not _is_count(data["iterations"]):
+        raise MalformedInputError(f"iterations must be a non-negative "
+                                  f"integer, got {data['iterations']!r}")
     graph = graph_from_dict(data["graph"])
+    try:
+        derived = anchor_sets_for_mode(graph, mode)
+    except ConstraintGraphError as error:
+        raise MalformedInputError(f"schedule graph: {error}") from error
+    listed, offsets = data["anchor_sets"], data["offsets"]
+    if not (isinstance(listed, dict) and isinstance(offsets, dict)
+            and set(listed) == set(offsets) == set(derived)):
+        raise MalformedInputError(
+            "anchor_sets and offsets must have one entry per graph vertex")
+    for vertex, tags in derived.items():
+        names = listed[vertex]
+        if (not isinstance(names, list)
+                or not all(isinstance(name, str) for name in names)
+                or frozenset(names) != tags):
+            raise MalformedInputError(
+                f"anchor_sets[{vertex!r}] is not the {mode.value} anchor "
+                f"set {sorted(tags)}")
+        entries = offsets[vertex]
+        if (not isinstance(entries, dict) or set(entries) != tags
+                or not all(map(_is_count, entries.values()))):
+            raise MalformedInputError(
+                f"offsets[{vertex!r}] must map each anchor of "
+                f"{sorted(tags)} to a non-negative integer")
     schedule = RelativeSchedule(
-        graph=graph,
-        anchor_sets={vertex: frozenset(tags)
-                     for vertex, tags in data["anchor_sets"].items()},
-        offsets={vertex: {a: int(s) for a, s in entries.items()}
-                 for vertex, entries in data["offsets"].items()},
-        anchor_mode=AnchorMode(data["anchor_mode"]),
-        iterations=int(data["iterations"]),
-    )
-    schedule.validate()
+        graph=graph, anchor_sets=derived,
+        offsets={vertex: dict(entries) for vertex, entries in offsets.items()},
+        anchor_mode=mode, iterations=data["iterations"])
+    try:
+        schedule.validate()
+    except ScheduleViolationError as error:
+        raise MalformedInputError(str(error)) from error
     return schedule
+
+
+def _is_count(value: Any) -> bool:
+    """A non-negative int that is not a bool (JSON ``true`` is 1)."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and value >= 0)
 
 
 # ----------------------------------------------------------------------

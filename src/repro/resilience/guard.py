@@ -26,7 +26,7 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Any, Optional, Union
 
 from repro.core.anchors import AnchorMode
 from repro.core.exceptions import BudgetExceededError, MalformedInputError
@@ -119,8 +119,7 @@ def guarded_schedule(graph: ConstraintGraph,
                      budget: Optional[RunBudget] = None, *,
                      watchdog=None,
                      anchor_mode: AnchorMode = AnchorMode.IRREDUNDANT,
-                     auto_well_pose: bool = True,
-                     validate: bool = True) -> RelativeSchedule:
+                     auto_well_pose: bool = True) -> RelativeSchedule:
     """Schedule *graph* under a :class:`RunBudget`.
 
     Taxonomy rejections (ill-posed, unfeasible, over-budget, malformed)
@@ -136,8 +135,6 @@ def guarded_schedule(graph: ConstraintGraph,
         anchor_mode: anchor-set variant, as in ``schedule_graph``.
         auto_well_pose: serialize ill-posed graphs, as in
             ``schedule_graph``.
-        validate: re-check the resulting offsets, as in
-            ``schedule_graph``.
 
     Raises:
         BudgetExceededError: a cap or the deadline was exceeded.
@@ -148,8 +145,7 @@ def guarded_schedule(graph: ConstraintGraph,
     budget.check_iteration_bound(graph)
     return schedule_graph(
         graph, anchor_mode=anchor_mode, auto_well_pose=auto_well_pose,
-        validate=validate, watchdog=watchdog,
-        deadline=budget.absolute_deadline())
+        watchdog=watchdog, deadline=budget.absolute_deadline())
 
 
 def load_untrusted_graph(source: Union[str, Path],

@@ -89,7 +89,7 @@ class TestPlantedBugs:
         from repro.core.anchors import anchor_sets_for_mode
         from repro.core.scheduler import IterativeIncrementalScheduler
 
-        def old_behavior(schedule, constraint, validate=True):
+        def old_behavior(schedule, constraint):
             graph = schedule.graph.copy()
             constraint.apply(graph)
             graph.forward_topological_order()
@@ -97,10 +97,7 @@ class TestPlantedBugs:
             scheduler = IterativeIncrementalScheduler(
                 graph, anchor_mode=schedule.anchor_mode,
                 anchor_sets=anchor_sets)
-            result = scheduler.run_from(schedule.offsets)
-            if validate:
-                result.validate()
-            return result
+            return scheduler.run_from(schedule.offsets)
 
         monkeypatch.setattr(oracle_module, "add_constraint_incremental",
                             old_behavior)

@@ -113,6 +113,11 @@ class TestRoundTrips:
             or telemetry["counters"]
 
     def test_schedule_many_verdicts(self, client):
+        from repro.core import batch
+
+        # Without numpy the arena is off and every graph takes the
+        # per-graph fallback.
+        solved = "scheduled" if batch._np is not None else "fallback"
         good = graph_to_dict(pipeline_graph())
         infeasible = ConstraintGraph()
         infeasible.add_operation("a", 3)
@@ -123,10 +128,10 @@ class TestRoundTrips:
             [good, graph_to_dict(infeasible), good])
         assert status == 200
         statuses = [r["status"] for r in body["results"]]
-        assert statuses[0] == "scheduled"
+        assert statuses[0] == solved
         assert statuses[1] == "error"
         assert body["results"][1]["error_type"] == "UnfeasibleConstraintsError"
-        assert statuses[2] in ("scheduled", "cached")
+        assert statuses[2] in (solved, "cached")
         assert body["stats"]["graphs"] == 3
 
     def test_lint_returns_sarif(self, client):

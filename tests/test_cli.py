@@ -329,6 +329,28 @@ class TestParser:
         assert capsys.readouterr().err == \
             "error: serialized graph must be an object, got list\n"
 
+    @pytest.mark.parametrize("command", ["schedule", "check", "lint"])
+    def test_malformed_schedule_json_is_an_error_line(self, tmp_path, capsys,
+                                                      command):
+        from repro import AnchorMode, schedule_graph
+        from repro.analysis.paper_figures import fig2_graph
+        from repro.io import schedule_to_dict
+
+        data = schedule_to_dict(
+            schedule_graph(fig2_graph(), anchor_mode=AnchorMode.FULL))
+        data["offsets"]["v4"]["v0"] = 0  # breaks the edge v3 -> v4
+        path = tmp_path / "bad-schedule.json"
+        path.write_text(json.dumps(data))
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: schedule violates edge Edge('v3' -> 'v4', w=5, "
+            "sequencing) w.r.t. anchor 'v0': 0 < 3 + 5\n")
+        del data["offsets"]
+        path.write_text(json.dumps(data))
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr().err == \
+            "error: schedule document lacks 'offsets'\n"
+
 
 class TestScheduleMany:
     @pytest.fixture

@@ -112,7 +112,106 @@ class TestScheduleRoundTrip:
         schedule = schedule_graph(fig2(), anchor_mode=AnchorMode.FULL)
         data = schedule_to_dict(schedule)
         data["offsets"]["v4"]["v0"] = 0  # breaks the edge inequality
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedInputError,
+                           match="violates edge .*'v3' -> 'v4'"):
+            schedule_from_dict(data)
+
+    @pytest.mark.parametrize("mode", list(AnchorMode))
+    def test_every_anchor_mode_round_trips(self, mode):
+        schedule = schedule_graph(fig2(), anchor_mode=mode)
+        clone = schedule_from_dict(schedule_to_dict(schedule))
+        assert clone.offsets == schedule.offsets
+        assert clone.anchor_sets == schedule.anchor_sets
+        assert clone.anchor_mode is mode
+
+    def test_serialized_graph_round_trips(self):
+        from repro import WellPosedness, check_well_posed
+
+        graph = fig2()
+        graph.add_max_constraint("v1", "v3", 6)  # A(v3) not in A(v1): ill-posed
+        assert check_well_posed(graph) is WellPosedness.ILL_POSED
+        schedule = schedule_graph(graph, anchor_mode=AnchorMode.FULL)
+        assert any(e.kind.value == "serialization"
+                   for e in schedule.graph.edges())
+        clone = schedule_from_dict(
+            json.loads(json.dumps(schedule_to_dict(schedule))))
+        assert clone.offsets == schedule.offsets
+
+    def test_unpacked_schedule_many_result_round_trips(self):
+        pytest.importorskip("numpy")
+        from repro.core.batch import schedule_many
+
+        graphs = [fig2(), random_constraint_graph(random.Random(4), 12)]
+        for result in schedule_many(graphs):
+            schedule = result.unpack()
+            clone = schedule_from_dict(schedule_to_dict(schedule))
+            assert clone.offsets == schedule.offsets
+
+    @staticmethod
+    def full_fig2_dict():
+        return schedule_to_dict(
+            schedule_graph(fig2(), anchor_mode=AnchorMode.FULL))
+
+    @pytest.mark.parametrize("key", ["anchor_mode", "iterations", "graph",
+                                     "anchor_sets", "offsets"])
+    def test_missing_key_rejected(self, key):
+        data = self.full_fig2_dict()
+        del data[key]
+        with pytest.raises(MalformedInputError, match=f"lacks '{key}'"):
+            schedule_from_dict(data)
+
+    @pytest.mark.parametrize("key, value", [
+        ("anchor_mode", "bogus"), ("anchor_mode", ["full"]),
+        ("iterations", -1), ("iterations", "2"), ("iterations", True)])
+    def test_invalid_header_value_rejected(self, key, value):
+        data = self.full_fig2_dict()
+        data[key] = value
+        with pytest.raises(MalformedInputError, match=key):
+            schedule_from_dict(data)
+
+    def test_offset_from_a_non_anchor_rejected(self):
+        data = self.full_fig2_dict()
+        data["offsets"]["v3"]["v1"] = 0  # v1 has a bounded delay
+        with pytest.raises(MalformedInputError, match=r"offsets\['v3'\]"):
+            schedule_from_dict(data)
+
+    def test_offsets_for_an_unknown_vertex_rejected(self):
+        data = self.full_fig2_dict()
+        data["offsets"]["zz"] = {"v0": 1}
+        with pytest.raises(MalformedInputError,
+                           match="one entry per graph vertex"):
+            schedule_from_dict(data)
+
+    @pytest.mark.parametrize("empty_anchor_set", [False, True])
+    def test_emptied_offsets_rejected(self, empty_anchor_set):
+        # Loaded as is, v4 would start at 0 although v3 (delay 5)
+        # starts at 3.
+        data = self.full_fig2_dict()
+        data["offsets"]["v4"] = {}
+        if empty_anchor_set:
+            data["anchor_sets"]["v4"] = []
+        with pytest.raises(MalformedInputError, match="'v4'"):
+            schedule_from_dict(data)
+
+    @pytest.mark.parametrize("value", [8.9, "8", True, -1, None])
+    def test_non_integer_offset_rejected(self, value):
+        data = self.full_fig2_dict()
+        data["offsets"]["v4"]["v0"] = value
+        with pytest.raises(MalformedInputError,
+                           match="non-negative integer"):
+            schedule_from_dict(data)
+
+    def test_anchor_sets_of_another_mode_rejected(self):
+        graph = ConstraintGraph(source="s", sink="t")  # cascaded anchors
+        graph.add_operation("a", UNBOUNDED)
+        graph.add_operation("b", UNBOUNDED)
+        graph.add_operation("v", 1)
+        graph.add_sequencing_edges([("s", "a"), ("a", "b"), ("b", "v"),
+                                    ("v", "t")])
+        data = schedule_to_dict(
+            schedule_graph(graph, anchor_mode=AnchorMode.FULL))
+        data["anchor_mode"] = AnchorMode.IRREDUNDANT.value
+        with pytest.raises(MalformedInputError, match="irredundant anchor set"):
             schedule_from_dict(data)
 
 
