@@ -71,6 +71,7 @@ import json
 import platform
 import sys
 import time
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -122,6 +123,24 @@ def _time(graph, fn, reps):
     return best * 1e3
 
 
+def _time_pair(graph, first, second, reps):
+    """Best ms of ``first`` and of ``second``, timed in turn rep by rep,
+    each on a fresh copy, so load on the machine hits both sides alike.
+
+    Each side is ``(fn, context)``: *context* (a context-manager factory)
+    is entered before the copy and left after the timing, so it sets up
+    what its side runs without being timed."""
+    best = [float("inf"), float("inf")]
+    for _ in range(reps):
+        for side, (fn, context) in enumerate((first, second)):
+            with context():
+                fresh = graph.copy()
+                t0 = time.perf_counter()
+                fn(fresh)
+                best[side] = min(best[side], time.perf_counter() - t0)
+    return best[0] * 1e3, best[1] * 1e3
+
+
 def _time_no_copy(graph, fn, reps):
     """Time *fn* on *graph* itself (for read-only passes that must see
     the graph's warm analysis cache, which ``copy()`` would drop)."""
@@ -143,8 +162,9 @@ def _baseline_workload(baseline, name):
 def guard_workload(n_ops, baseline, reps, tolerance, ratio_tolerance,
                    same_machine):
     graph = make_random(n_ops)
-    untraced_ms = _time(graph, schedule_graph, reps)
-    guarded_ms = _time(graph, guarded_schedule, reps)
+    untraced_ms, guarded_ms = _time_pair(
+        graph, (schedule_graph, nullcontext), (guarded_schedule, nullcontext),
+        reps)
     reference_ms = _time(graph, schedule_graph_reference, max(1, reps // 2))
 
     tracer = Tracer()
@@ -213,7 +233,8 @@ def guard_workload(n_ops, baseline, reps, tolerance, ratio_tolerance,
         "limit_ms": round(lint_limit, 3),
     })
     # Self-relative on purpose: both paths ran on this machine in this
-    # process, so the check is meaningful on CI runners too.
+    # process, interleaved rep by rep, so the check is meaningful on CI
+    # runners too.
     guarded_limit = untraced_ms * (1 + tolerance) + NOISE_FLOOR_MS
     entry["checks"].append({
         "check": "guarded_path_no_budget",
@@ -410,10 +431,11 @@ def guard_devlint(budget_s, tolerance, reps):
       extra call frame on acquire/release.
     * ``sanitize_off_schedule_overhead`` -- self-relative:
       ``schedule_graph`` with the shipped factory-built cache lock
-      versus the same run with the factory stubbed out entirely.  The
-      residual tax (one function call per graph construction) must sit
-      inside the same tolerance-plus-noise-floor envelope as every
-      other disabled path, on every machine.
+      versus the same run with the factory stubbed out entirely, timed
+      rep by rep in turn.  The residual tax (one function call per
+      graph construction) must sit inside the same
+      tolerance-plus-noise-floor envelope as every other disabled path,
+      on every machine.
     """
     import threading as _threading
 
@@ -452,17 +474,22 @@ def guard_devlint(budget_s, tolerance, reps):
     })
 
     graph = make_random(200)
-    stock_ms = _time(graph, schedule_graph, reps)
     # Sharing one RLock across the timed copies is fine: scheduling
     # only ever takes it uncontended, and only the factory call itself
     # is being subtracted out.
     shared = _threading.RLock()
-    original = graphmod.make_rlock
-    graphmod.make_rlock = lambda name, io_ok=False: shared
-    try:
-        bare_ms = _time(graph, schedule_graph, reps)
-    finally:
-        graphmod.make_rlock = original
+
+    @contextmanager
+    def stubbed_factory():
+        original = graphmod.make_rlock
+        graphmod.make_rlock = lambda name, io_ok=False: shared
+        try:
+            yield
+        finally:
+            graphmod.make_rlock = original
+
+    stock_ms, bare_ms = _time_pair(graph, (schedule_graph, nullcontext),
+                                   (schedule_graph, stubbed_factory), reps)
     limit = bare_ms * (1 + tolerance) + NOISE_FLOOR_MS
     entry["checks"].append({
         "check": "sanitize_off_schedule_overhead",

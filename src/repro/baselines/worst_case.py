@@ -18,11 +18,11 @@ schedule across delay profiles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
 from repro.baselines.bellman_ford import bellman_ford_schedule
-from repro.core.delay import UNBOUNDED, is_unbounded
-from repro.core.graph import ConstraintGraph
+from repro.core.delay import validate_delay
+from repro.core.graph import UNBOUNDED_TOKEN, ConstraintGraph
 
 
 @dataclass(frozen=True)
@@ -49,48 +49,20 @@ class WorstCaseOutcome:
 def budget_graph(graph: ConstraintGraph, budget: int) -> ConstraintGraph:
     """A copy of *graph* with every unbounded delay replaced by *budget*.
 
-    The source keeps its role (activation reference).
+    The source keeps its role (activation reference): it stays an
+    anchor, and its unbounded edges keep their static weight 0.  Every
+    other unbounded edge weight becomes *budget*, edge kinds unchanged.
     """
-    from repro.core.graph import Edge, Vertex
-
-    clone = ConstraintGraph.__new__(ConstraintGraph)
-    clone.source = graph.source
-    clone.sink = graph.sink
-    clone._vertices = {}
-    clone._edges = []
-    clone._out = {}
-    clone._in = {}
-    from repro.sanitize import make_rlock
-
-    clone._version = 0
-    clone._analysis_cache = {}
-    clone._cache_version = -1
-    clone._cache_lock = make_rlock("graph.cache")
-    clone._vindex = {}
-    clone._vdelay_tok = []
-    clone._epack = []
-    clone._pack_dirty = True  # rebuilt lazily from _vertices/_edges
-    for vertex in graph.vertices():
-        delay = vertex.delay
-        if vertex.name == graph.source:
-            new_vertex = Vertex(vertex.name, UNBOUNDED, vertex.tag)
-        elif is_unbounded(delay):
-            new_vertex = Vertex(vertex.name, budget, vertex.tag)
-        else:
-            new_vertex = Vertex(vertex.name, delay, vertex.tag)
-        clone._vertices[new_vertex.name] = new_vertex
-        clone._out[new_vertex.name] = []
-        clone._in[new_vertex.name] = []
-    for edge in graph.edges():
-        if edge.is_unbounded and edge.tail != graph.source:
-            new_edge = Edge(edge.tail, edge.head,
-                            clone._vertices[edge.tail].delay, edge.kind)
-        else:
-            new_edge = edge
-        clone._edges.append(new_edge)
-        clone._out[new_edge.tail].append(new_edge)
-        clone._in[new_edge.head].append(new_edge)
-    return clone
+    validate_delay(budget)
+    tokens = [budget if v and token == UNBOUNDED_TOKEN else token
+              for v, token in enumerate(graph.packed()[0])]
+    records: List[int] = []
+    for t, h, weight, kind in graph.edge_records():
+        if t and weight == -UNBOUNDED_TOKEN:  # vertex 0 is the source
+            weight = budget
+        records += (t, h, weight, kind)
+    return ConstraintGraph.from_packed(graph.vertex_names(), tokens, records,
+                                       graph.tags())
 
 
 def worst_case_schedule(graph: ConstraintGraph, budget: int,
@@ -113,12 +85,11 @@ def worst_case_schedule(graph: ConstraintGraph, budget: int,
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     actual = dict(actual or {})
-    budgeted = budget_graph(graph, budget)
-    # Treat the budgeted source as bounded 0 for the baseline scheduler.
-    static = bellman_ford_schedule(_pin_source(budgeted))
+    # The source's unbounded edges relax at their static weight 0: the
+    # activation is cycle 0 for the fixed-delay baseline.
+    static = bellman_ford_schedule(budget_graph(graph, budget))
 
-    unbounded_ops = [v.name for v in graph.vertices()
-                     if v.name != graph.source and v.is_unbounded]
+    unbounded_ops = [name for name in graph.anchors if name != graph.source]
     safe = all(actual.get(name, 0) <= budget for name in unbounded_ops)
     latency = static[graph.sink]
 
@@ -130,27 +101,3 @@ def worst_case_schedule(graph: ConstraintGraph, budget: int,
     ideal = relative.start_times(actual)[graph.sink]
     return WorstCaseOutcome(start_times=static, safe=safe, latency=latency,
                             wasted_cycles=latency - ideal)
-
-
-def _pin_source(graph: ConstraintGraph) -> ConstraintGraph:
-    """Replace the unbounded source with a zero-delay vertex so the
-    fixed-delay baseline accepts the graph."""
-    from repro.core.graph import Edge, Vertex
-
-    clone = graph.copy()
-    clone._vertices[graph.source] = Vertex(graph.source, 0)
-    rewritten = []
-    for edge in clone._edges:
-        if edge.tail == graph.source and edge.is_unbounded:
-            rewritten.append(Edge(edge.tail, edge.head, 0, edge.kind))
-        else:
-            rewritten.append(edge)
-    clone._edges = rewritten
-    clone._out = {name: [] for name in clone._vertices}
-    clone._in = {name: [] for name in clone._vertices}
-    clone._pack_dirty = True  # vertex delay and edge weights rewritten
-    clone._version += 1
-    for edge in clone._edges:
-        clone._out[edge.tail].append(edge)
-        clone._in[edge.head].append(edge)
-    return clone

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+import weakref
 from contextlib import nullcontext
 from itertools import compress, repeat
 from typing import Any, Dict, Iterable, List, Optional, Union
@@ -147,6 +148,11 @@ def _check_deadline(deadline: Optional[float]) -> None:
 class BatchResult:
     """The outcome of one graph in a :func:`schedule_many` call.
 
+    A schedule unpacked from the arena is held weakly: while the caller
+    keeps it, every unpack returns that same object; once dropped, the
+    next unpack materializes an equal one again.  A run therefore never
+    pins the dict-of-dict schedules of every graph it has handed out.
+
     Attributes:
         index: position of the graph in the input sequence.
         graph: the input graph (never mutated by the batch kernel).
@@ -156,7 +162,7 @@ class BatchResult:
     """
 
     __slots__ = ("index", "graph", "error", "cached", "fallback",
-                 "_schedule", "_lazy")
+                 "_schedule", "_lazy", "_handed")
 
     def __init__(self, index: int, graph: ConstraintGraph, *,
                  error: Optional[Exception] = None,
@@ -170,6 +176,7 @@ class BatchResult:
         self.fallback = fallback
         self._schedule = schedule
         self._lazy = lazy
+        self._handed: Optional[weakref.ref] = None
 
     @property
     def ok(self) -> bool:
@@ -186,7 +193,10 @@ class BatchResult:
             # Drop the previous raise's frames: re-raising the stored
             # instance would otherwise grow its traceback on every call.
             raise self.error.with_traceback(None)
-        if self._schedule is None:
+        if self._schedule is not None:  # a fallback's own schedule
+            return self._schedule
+        schedule = self._handed() if self._handed is not None else None
+        if schedule is None:
             # The graph's slice of a canonical permutation: numpy arrays
             # over the whole arena, or (numpy absent) the graph's lists.
             # A cache hit carries its entry and compiles a template of
@@ -194,13 +204,14 @@ class BatchResult:
             template, ranks, inv, start = self._lazy
             if isinstance(template, dict):
                 template = _Template.of_entry(template)
+                self._lazy = (template, ranks, inv, start)
             n = len(self.graph)
             ranks, inv = ranks[start:start + n], inv[start:start + n]
             if not isinstance(ranks, list):
                 ranks, inv = ranks.tolist(), inv.tolist()
-            self._schedule = template.schedule(self.graph, ranks, inv)
-            self._lazy = None
-        return self._schedule
+            schedule = template.schedule(self.graph, ranks, inv)
+            self._handed = weakref.ref(schedule)
+        return schedule
 
     def unpack(self) -> RelativeSchedule:
         """The schedule, or the same exception ``schedule_graph`` raises."""
@@ -324,10 +335,10 @@ class _Arena:
 
 def _assemble(graphs: List[ConstraintGraph]) -> "_Arena":
     # The O(batch) Python loop of the fast path only concatenates each
-    # graph's incrementally maintained primitive pack (graph.packed():
-    # delay tokens plus flat (tail, head, weight, kind-id) edge records
-    # with local vertex indices) -- the per-edge walk already happened
-    # at construction time.  Everything else is derived vectorized.
+    # graph's store (graph.packed(): delay tokens plus flat (tail, head,
+    # weight, kind-id) edge records with local vertex indices, the
+    # source first and the sink second) -- no per-edge walk.  Everything
+    # else is derived vectorized.
     np = _np
     arena = _Arena()
     arena.na = len(graphs)
@@ -335,31 +346,14 @@ def _assemble(graphs: List[ConstraintGraph]) -> "_Arena":
     eparts: List[Any] = []
     vcount: List[int] = []
     ecount: List[int] = []
-    src: List[int] = []
-    snk: List[int] = []
-    demoted = False
     for graph in graphs:
         toks, epack = graph.packed()
         vparts.append(toks)
         eparts.append(epack)
-        demoted = demoted or type(toks) is list or type(epack) is list
         vcount.append(len(toks))
         ecount.append(len(epack) >> 2)
-        vindex = graph._vindex
-        src.append(vindex[graph.source])
-        snk.append(vindex[graph.sink])
-
-    if demoted:
-        # At least one pack overflowed int64 and fell back to a Python
-        # list; concatenate the slow way (np.asarray raises the same
-        # OverflowError the int64 arena cannot avoid for such values).
-        v_delay = np.asarray([t for p in vparts for t in p], np.int64)
-        e_flat = np.asarray([t for p in eparts for t in p], np.int64)
-    else:
-        v_delay = np.frombuffer(
-            b"".join([memoryview(p) for p in vparts]), np.int64)
-        e_flat = np.frombuffer(
-            b"".join([memoryview(p) for p in eparts]), np.int64)
+    v_delay = np.frombuffer(b"".join([memoryview(p) for p in vparts]), np.int64)
+    e_flat = np.frombuffer(b"".join([memoryview(p) for p in eparts]), np.int64)
 
     unb_token = UNBOUNDED_TOKEN
     arena.nv = v_delay.size
@@ -373,8 +367,8 @@ def _assemble(graphs: List[ConstraintGraph]) -> "_Arena":
     arena.v_graph = np.repeat(np.arange(arena.na), arena.vcount)
     arena.e_graph = np.repeat(np.arange(arena.na), arena.ecount)
     arena.v_delay_tok = v_delay.view(np.uint64)  # two's-complement wrap
-    arena.src = np.asarray(src, np.int64) + arena.vstart
-    arena.snk = np.asarray(snk, np.int64) + arena.vstart
+    arena.src = arena.vstart
+    arena.snk = arena.vstart + 1
     arena.v_flags = np.zeros(arena.nv, np.uint64)
     arena.v_flags[arena.src] = 1
     arena.v_flags[arena.snk] = 2
@@ -1008,11 +1002,14 @@ def schedule_many(graphs: Iterable[ConstraintGraph], *,
                 continue
         eligible.append(i)
 
-    if _np is None:
-        _schedule_scalar(graphs, eligible, results, cache,
-                         auto_well_pose, deadline)
-    elif eligible:
-        _schedule_arena(graphs, eligible, results, cache,
+    # A graph whose packs overflowed int64 (plain lists, see
+    # graph._pack_extend) cannot join the arena; it goes per graph.
+    arena = ([] if _np is None else
+             [i for i in eligible if list not in map(type, graphs[i].packed())])
+    _schedule_scalar(graphs, sorted(set(eligible) - set(arena)), results,
+                     cache, auto_well_pose, deadline)
+    if arena:
+        _schedule_arena(graphs, arena, results, cache,
                         auto_well_pose, deadline, tracer)
 
     if cache is not None:
@@ -1186,7 +1183,8 @@ def _schedule_arena(graphs, eligible, results, cache, auto_well_pose,
 
 def _schedule_scalar(graphs, eligible, results, cache, auto_well_pose,
                      deadline) -> None:
-    """Pure-Python batch path (numpy absent): per graph, cache-aware."""
+    """Pure-Python batch path (numpy absent, or packs beyond int64): per
+    graph, cache-aware."""
     for i in eligible:
         _check_deadline(deadline)
         graph = graphs[i]

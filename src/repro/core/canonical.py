@@ -46,16 +46,10 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.core.delay import is_unbounded
-# KIND_IDS and UNBOUNDED_TOKEN live next to the graph's incremental
-# primitive pack (graph.packed()) and are re-exported here: certificate,
-# pack, and batch arena must agree on both encodings.
-from repro.core.graph import (
-    KIND_IDS,
-    UNBOUNDED_TOKEN,
-    ConstraintGraph,
-    EdgeKind,
-)
+# UNBOUNDED_TOKEN (like the kind ids) lives next to the graph's store
+# (graph.packed()) and is re-exported here: certificate, store, and
+# batch arena must agree on both encodings.
+from repro.core.graph import UNBOUNDED_TOKEN, ConstraintGraph
 
 #: WL refinement rounds.  Colors see the r-hop neighborhood in both
 #: directions after r rounds; small constraint graphs refine to discrete
@@ -91,13 +85,6 @@ def mix3(a: int, b: int, c: int) -> int:
     return x
 
 
-def delay_token(delay) -> int:
-    """The 64-bit token of a vertex delay (or edge weight)."""
-    if is_unbounded(delay):
-        return UNBOUNDED_TOKEN
-    return int(delay) & _MASK
-
-
 @dataclass(frozen=True)
 class CanonicalForm:
     """A discrete canonical labelling of a constraint graph.
@@ -121,24 +108,35 @@ class CanonicalForm:
 def refined_colors(graph: ConstraintGraph,
                    rounds: int = REFINEMENT_ROUNDS) -> Dict[str, int]:
     """The hashed-WL colors after *rounds* refinement rounds."""
-    colors: Dict[str, int] = {}
-    for vertex in graph.vertices():
-        flags = 1 if vertex.name == graph.source else (
-            2 if vertex.name == graph.sink else 0)
-        colors[vertex.name] = mix3(delay_token(vertex.delay), flags, 0)
-    edges = [(edge.tail, edge.head, delay_token(edge.weight),
-              KIND_IDS[edge.kind]) for edge in graph.edges()]
+    return dict(zip(graph.vertex_names(), _refine(graph, rounds)))
+
+
+def _refine(graph: ConstraintGraph, rounds: int) -> List[int]:
+    """The refined colors per vertex index, read from the graph's store
+    (the source is vertex 0, the sink vertex 1)."""
+    tokens, _ = graph.packed()
+    flags = [1, 2] + [0] * (len(tokens) - 2)
+    colors = [mix3(token & _MASK, flag, 0)
+              for token, flag in zip(tokens, flags)]
+    edges = [(t, h, _weight_token(w), kind)
+             for t, h, w, kind in graph.edge_records()]
     for _ in range(rounds):
-        in_sum = dict.fromkeys(colors, 0)
-        out_sum = dict.fromkeys(colors, 0)
+        in_sum = [0] * len(colors)
+        out_sum = [0] * len(colors)
         for tail, head, wtok, kid in edges:
             in_sum[head] = (in_sum[head]
                             + mix3(colors[tail], wtok, kid + 1)) & _MASK
             out_sum[tail] = (out_sum[tail]
                              + mix3(colors[head], wtok, kid + 101)) & _MASK
-        colors = {name: mix3(color, in_sum[name], out_sum[name])
-                  for name, color in colors.items()}
+        colors = list(map(mix3, colors, in_sum, out_sum))
     return colors
+
+
+def _weight_token(weight: int) -> int:
+    """The 64-bit token of a stored edge weight: ``UNBOUNDED_TOKEN`` for
+    an unbounded one, the two's-complement value otherwise (delays
+    enter as ``token & _MASK``)."""
+    return UNBOUNDED_TOKEN if weight == -UNBOUNDED_TOKEN else weight & _MASK
 
 
 def canonical_form(graph: ConstraintGraph) -> Optional[CanonicalForm]:
@@ -148,38 +146,32 @@ def canonical_form(graph: ConstraintGraph) -> Optional[CanonicalForm]:
     share a color), in which case no stable canonical order exists under
     renaming and the graph must not be cached.
     """
-    colors = refined_colors(graph)
-    order = sorted(colors, key=colors.__getitem__)
+    colors = _refine(graph, REFINEMENT_ROUNDS)
+    order = sorted(range(len(colors)), key=colors.__getitem__)
     for a, b in zip(order, order[1:]):
         if colors[a] == colors[b]:
             return None
-    rank = {name: r for r, name in enumerate(order)}
+    rank = [0] * len(order)
+    for r, v in enumerate(order):
+        rank[v] = r
+    tokens, records = graph.packed()
     stream: List[int] = [
         CERTIFICATE_VERSION,
         len(order),
-        len(graph.edges()),
-        rank[graph.source],
-        rank[graph.sink],
+        len(records) >> 2,
+        rank[0],
+        rank[1],
     ]
-    for name in order:
-        stream.append(delay_token(graph._vertices[name].delay))
-    stream.extend(_edge_stream(graph, rank))
+    stream.extend(tokens[v] & _MASK for v in order)
+    for record in sorted((rank[t], rank[h], kind, _weight_token(w))
+                         for t, h, w, kind in graph.edge_records()):
+        stream.extend(record)
     digest = hashlib.sha256(
         b"".join(value.to_bytes(8, "little") for value in stream))
-    anchors = sorted(graph.anchors, key=rank.__getitem__)
-    return CanonicalForm(key=digest.hexdigest(), order=order, anchors=anchors)
-
-
-def _edge_stream(graph: ConstraintGraph, rank: Dict[str, int]) -> List[int]:
-    """Edges in canonical coordinates, sorted -- order-independent."""
-    records = sorted(
-        (rank[edge.tail], rank[edge.head], KIND_IDS[edge.kind],
-         delay_token(edge.weight))
-        for edge in graph.edges())
-    flat: List[int] = []
-    for record in records:
-        flat.extend(record)
-    return flat
+    names = graph.vertex_names()
+    return CanonicalForm(
+        key=digest.hexdigest(), order=[names[v] for v in order],
+        anchors=[names[v] for v in order if tokens[v] == UNBOUNDED_TOKEN])
 
 
 def canonical_key(graph: ConstraintGraph) -> Optional[str]:

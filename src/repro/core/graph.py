@@ -20,6 +20,13 @@ Edge weights that are unbounded always equal the delay of the edge's
 *tail* vertex, written ``delta(tail)`` in the paper.  This invariant
 holds for sequencing edges out of anchors and for the serialization
 edges introduced by ``make_well_posed``; the graph enforces it.
+
+A graph is stored once, as integers (see :meth:`ConstraintGraph.packed`):
+vertex names in insertion order, one delay token per vertex, a sparse
+tag map and flat ``(tail, head, weight, kind)`` edge records.
+:class:`Vertex` and :class:`Edge` objects, the edge partitions and the
+adjacency tuples are views built on demand per graph version, for the
+callers that walk them.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from typing import (
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -39,7 +47,13 @@ from typing import (
     Union,
 )
 
-from repro.core.delay import UNBOUNDED, Delay, is_unbounded, validate_delay
+from repro.core.delay import (
+    UNBOUNDED,
+    Delay,
+    Unbounded,
+    is_unbounded,
+    validate_delay,
+)
 from repro.core.exceptions import GraphStructureError
 from repro.sanitize import make_rlock
 from repro.observability.tracer import STATE as _OBS
@@ -71,31 +85,61 @@ class EdgeKind(enum.Enum):
 
 
 #: Stable small integers per edge kind (enum definition order), shared
-#: by the canonical certificate (:mod:`repro.core.canonical`) and the
-#: packed arena representation (:mod:`repro.core.batch`).
+#: by the graph's store, the canonical certificate
+#: (:mod:`repro.core.canonical`) and the batch arena (:mod:`repro.core.batch`).
 KIND_IDS: Dict[EdgeKind, int] = {kind: i for i, kind in enumerate(EdgeKind)}
+
+#: Edge kinds by id (the inverse of :data:`KIND_IDS`).
+KINDS_BY_ID: Tuple[EdgeKind, ...] = tuple(EdgeKind)
+
+#: The kind id of backward (maximum-constraint) edges.
+MAX_TIME_ID = KIND_IDS[EdgeKind.MAX_TIME]
 
 #: Reserved 64-bit token for UNBOUNDED delays and edge weights in packed
 #: integer representations (legal magnitudes are capped at 2**53 by the
-#: wire format, so it cannot collide with a real value).
+#: wire format; the graph refuses the two values it would collide with).
 UNBOUNDED_TOKEN = 1 << 60
 
 
-def _pack_extend(pack, values):
+def _pack_extend(pack, values: Sequence[int]):
     """Append ints to an int64 pack, demoting it to a list on overflow.
 
     Packs are ``array('q')`` so batch assembly can concatenate raw
     bytes; a graph with values beyond int64 (legal programmatically,
     though outside the wire format's 2**53 cap) falls back to a plain
-    Python list, which the batch kernel routes per graph instead.
+    Python list, which the batch kernel routes per graph instead.  A
+    failed ``extend`` keeps the items before the bad one, so they are
+    cut off again before the list takes over (or the error propagates).
     """
+    size = len(pack)
     try:
         pack.extend(values)
-        return pack
     except OverflowError:
-        demoted = list(pack)
-        demoted.extend(values)
-        return demoted
+        del pack[size:]
+        pack = list(pack)
+        pack.extend(values)
+    except BaseException:
+        del pack[size:]
+        raise
+    return pack
+
+
+def _delay_token(delay: Delay) -> int:
+    if isinstance(delay, Unbounded):
+        return UNBOUNDED_TOKEN
+    if delay == UNBOUNDED_TOKEN:
+        raise GraphStructureError(
+            f"delay {delay} is reserved: it encodes UNBOUNDED in the store")
+    return delay
+
+
+def _weight_token(weight: Union[int, Unbounded]) -> int:
+    if isinstance(weight, Unbounded):
+        return -UNBOUNDED_TOKEN
+    if weight == -UNBOUNDED_TOKEN:
+        raise GraphStructureError(
+            f"weight {weight} is reserved: it encodes UNBOUNDED in the store")
+    return weight
 
 
 @dataclass(frozen=True)
@@ -188,34 +232,59 @@ class ConstraintGraph:
 
     def __init__(self, source: str = "v0", sink: str = "vN",
                  sink_delay: Delay = 0) -> None:
-        self._vertices: Dict[str, Vertex] = {}
-        self._edges: List[Edge] = []
-        self._out: Dict[str, List[Edge]] = {}
-        self._in: Dict[str, List[Edge]] = {}
-        self._version = 0
-        self._analysis_cache: Dict[str, Any] = {}
-        self._cache_version = -1
-        # Guards the analysis cache's check-then-build and the pack
-        # rebuild against concurrent readers sharing this graph (the
-        # service schedules shared design graphs from worker threads).
-        # Reentrant because builders call cached() for other keys.
+        self._adopt([], array("q"), array("q"), {})
+        # Guards the analysis cache's check-then-build against
+        # concurrent readers sharing this graph (the service schedules
+        # shared design graphs from worker threads).  Reentrant because
+        # builders call cached() for other keys.
         self._cache_lock = make_rlock("graph.cache")
-        # Incrementally maintained primitive pack (see packed()): vertex
-        # insertion indices, delay tokens, and flat (tail, head, weight,
-        # kind-id) edge records with UNBOUNDED encoded as +/-UNBOUNDED_TOKEN.
-        # int64 arrays so batch assembly concatenates raw bytes; values
-        # beyond int64 demote the pack to a plain list (see _pack_append).
-        # Code that rewrites _vertices/_edges directly must set
-        # _pack_dirty so packed() rebuilds the whole pack.
-        self._vindex: Dict[str, int] = {}
-        self._vdelay_tok: Union[array, List[int]] = array("q")
-        self._epack: Union[array, List[int]] = array("q")
-        self._pack_dirty = False
         self.source = source
         self.sink = sink
         # The source behaves as an unbounded-delay anchor (Definition 2).
         self._add_vertex(Vertex(source, UNBOUNDED))
         self._add_vertex(Vertex(sink, validate_delay(sink_delay)))
+
+    def _adopt(self, names: List[str], delays, records,
+               tags: Dict[str, str]) -> None:
+        """Install a store and start a fresh version history.
+
+        The store: ``names`` in insertion order (the source first, the
+        sink second) with their index, one delay token per vertex, flat
+        edge records (see :meth:`packed`) and the sparse tag map.  The
+        token packs are int64 arrays unless a value overflowed
+        (:func:`_pack_extend`).
+        """
+        self._names = names
+        self._vindex = {name: i for i, name in enumerate(names)}
+        self._delays = delays
+        self._records = records
+        self._tags = tags
+        self._version = 0
+        self._analysis_cache: Dict[str, Any] = {}
+        self._cache_version = -1
+
+    @classmethod
+    def from_packed(cls, names: List[str], delay_tokens: Sequence[int],
+                    edge_records: Sequence[int],
+                    tags: Optional[Dict[str, str]] = None
+                    ) -> "ConstraintGraph":
+        """A graph that adopts a store given in :meth:`packed`'s encoding.
+
+        ``names[0]`` is the source and ``names[1]`` the sink; *names* is
+        taken over, not copied.  Nothing is checked item by item: the
+        caller guarantees what the ``add_*`` methods would enforce
+        (unique non-empty names, valid delays, endpoints in range,
+        unbounded weights only out of anchors, sequencing and
+        serialization weights equal to ``delta(tail)``).
+        :func:`repro.io.graph_from_dict` validates its input first.
+        """
+        graph = cls.__new__(cls)
+        graph._adopt(names, _pack_extend(array("q"), delay_tokens),
+                     _pack_extend(array("q"), edge_records), dict(tags or {}))
+        graph._cache_lock = make_rlock("graph.cache")
+        graph.source = names[0]
+        graph.sink = names[1]
+        return graph
 
     # ------------------------------------------------------------------
     # versioned analysis cache
@@ -271,58 +340,44 @@ class ConstraintGraph:
             return value
 
     def packed(self) -> Tuple[Sequence[int], Sequence[int]]:
-        """The primitive integer pack: ``(delay_tokens, edge_records)``.
+        """The store's integer packs: ``(delay_tokens, edge_records)``.
 
         ``delay_tokens[i]`` is the delay of the i-th inserted vertex
-        (``UNBOUNDED_TOKEN`` for anchors); ``edge_records`` is a flat
-        sequence of ``(tail_index, head_index, weight, kind_id)``
-        quadruples in edge insertion order, with unbounded weights
-        encoded as ``-UNBOUNDED_TOKEN``.  Both are ``array('q')`` unless
-        a value overflowed int64 (then plain lists).  Maintained
-        incrementally during construction so batch assembly
-        (:mod:`repro.core.batch`) can concatenate graphs without
-        re-walking Python edge objects; the returned sequences are live
-        internals -- callers must not mutate.
-
-        The rebuild shares the analysis-cache lock so concurrent batch
-        assemblies over a shared graph cannot observe a half-built pack.
+        (``UNBOUNDED_TOKEN`` for anchors); vertex 0 is the source and
+        vertex 1 the sink.  ``edge_records`` is a flat sequence of
+        ``(tail_index, head_index, weight, kind_id)`` quadruples in edge
+        insertion order, with unbounded weights encoded as
+        ``-UNBOUNDED_TOKEN``.  Both are ``array('q')`` unless a value
+        overflowed int64 (then plain lists), so batch assembly
+        (:mod:`repro.core.batch`) concatenates graphs without walking
+        Python objects.  The returned sequences are the live store --
+        callers must not mutate them.
         """
-        if self._pack_dirty:
-            with self._cache_lock:
-                if not self._pack_dirty:
-                    return self._vdelay_tok, self._epack
-                self._vindex = {name: i
-                                for i, name in enumerate(self._vertices)}
-                self._vdelay_tok = _pack_extend(array("q"), [
-                    UNBOUNDED_TOKEN if is_unbounded(v.delay) else v.delay
-                    for v in self._vertices.values()])
-                vindex = self._vindex
-                pack: List[int] = []
-                for edge in self._edges:
-                    pack.extend((
-                        vindex[edge.tail], vindex[edge.head],
-                        -UNBOUNDED_TOKEN if is_unbounded(edge.weight)
-                        else edge.weight,
-                        KIND_IDS[edge.kind]))
-                self._epack = _pack_extend(array("q"), pack)
-                self._pack_dirty = False
-        return self._vdelay_tok, self._epack
+        return self._delays, self._records
+
+    def edge_records(self) -> Iterator[Tuple[int, int, int, int]]:
+        """Each edge as a ``(tail_index, head_index, weight, kind_id)``
+        tuple of :meth:`packed`'s encoding, in insertion order."""
+        it = iter(self._records)
+        return zip(it, it, it, it)
+
+    def tags(self) -> Dict[str, str]:
+        """The tagged vertices' tags (a sparse copy: untagged vertices
+        are absent)."""
+        return dict(self._tags)
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
 
     def _add_vertex(self, vertex: Vertex) -> Vertex:
-        if vertex.name in self._vertices:
+        if vertex.name in self._vindex:
             raise GraphStructureError(f"duplicate vertex {vertex.name!r}")
-        self._vertices[vertex.name] = vertex
-        self._out[vertex.name] = []
-        self._in[vertex.name] = []
-        self._vindex[vertex.name] = len(self._vdelay_tok)
-        self._vdelay_tok = _pack_extend(
-            self._vdelay_tok,
-            (UNBOUNDED_TOKEN if is_unbounded(vertex.delay)
-             else vertex.delay,))
+        self._delays = _pack_extend(self._delays, (_delay_token(vertex.delay),))
+        self._vindex[vertex.name] = len(self._names)
+        self._names.append(vertex.name)
+        if vertex.tag is not None:
+            self._tags[vertex.name] = vertex.tag
         self._version += 1
         return vertex
 
@@ -330,34 +385,28 @@ class ConstraintGraph:
         """Add an operation vertex with the given execution delay."""
         return self._add_vertex(Vertex(name, delay, tag))
 
-    def _require(self, name: str) -> Vertex:
+    def _index(self, name: str) -> int:
         try:
-            return self._vertices[name]
+            return self._vindex[name]
         except KeyError:
             raise GraphStructureError(f"unknown vertex {name!r}") from None
 
     def _add_edge(self, edge: Edge) -> Edge:
-        self._require(edge.tail)
-        self._require(edge.head)
-        if edge.is_unbounded and not self._vertices[edge.tail].is_unbounded:
+        t = self._index(edge.tail)
+        h = self._index(edge.head)
+        if edge.is_unbounded and self._delays[t] != UNBOUNDED_TOKEN:
             raise GraphStructureError(
                 f"unbounded edge weight requires an unbounded-delay tail, "
-                f"but {edge.tail!r} has delay {self._vertices[edge.tail].delay!r}")
-        self._edges.append(edge)
-        self._out[edge.tail].append(edge)
-        self._in[edge.head].append(edge)
-        self._epack = _pack_extend(self._epack, (
-            self._vindex[edge.tail], self._vindex[edge.head],
-            -UNBOUNDED_TOKEN if is_unbounded(edge.weight) else edge.weight,
-            KIND_IDS[edge.kind]))
+                f"but {edge.tail!r} has delay {self.delta(edge.tail)!r}")
+        self._records = _pack_extend(self._records, (
+            t, h, _weight_token(edge.weight), KIND_IDS[edge.kind]))
         self._version += 1
         return edge
 
     def add_sequencing_edge(self, tail: str, head: str) -> Edge:
         """Add a sequencing dependency; its weight is ``delta(tail)``."""
-        tail_vertex = self._require(tail)
-        weight: Weight = UNBOUNDED if tail_vertex.is_unbounded else tail_vertex.delay
-        return self._add_edge(Edge(tail, head, weight, EdgeKind.SEQUENCING))
+        return self._add_edge(Edge(tail, head, self.delta(tail),
+                                   EdgeKind.SEQUENCING))
 
     def add_sequencing_edges(self, pairs: Iterable[Tuple[str, str]]) -> List[Edge]:
         """Add several sequencing dependencies at once."""
@@ -386,26 +435,26 @@ class ConstraintGraph:
     def add_serialization_edge(self, anchor: str, vertex: str) -> Edge:
         """Add a synchronization edge ``(anchor, vertex)`` with weight
         ``delta(anchor)`` as done by ``make_well_posed`` (Section IV-C)."""
-        anchor_vertex = self._require(anchor)
-        if not anchor_vertex.is_unbounded:
+        if not self.is_anchor(anchor):
             raise GraphStructureError(
                 f"serialization edges originate at anchors; {anchor!r} is bounded")
         return self._add_edge(Edge(anchor, vertex, UNBOUNDED, EdgeKind.SERIALIZATION))
 
     def remove_edge(self, edge: Edge) -> None:
-        """Remove one edge instance (identity or first equal match).
+        """Remove one edge instance (the first equal one in insertion order).
 
         Raises:
             GraphStructureError: if the edge is not in the graph.
         """
-        try:
-            self._edges.remove(edge)
-        except ValueError:
-            raise GraphStructureError(f"edge not in graph: {edge!r}") from None
-        self._out[edge.tail].remove(edge)
-        self._in[edge.head].remove(edge)
-        self._pack_dirty = True
-        self._version += 1
+        target = (self._vindex.get(edge.tail), self._vindex.get(edge.head),
+                  -UNBOUNDED_TOKEN if is_unbounded(edge.weight) else edge.weight,
+                  KIND_IDS[edge.kind])
+        for position, record in enumerate(self.edge_records()):
+            if record == target:
+                del self._records[4 * position:4 * position + 4]
+                self._version += 1
+                return
+        raise GraphStructureError(f"edge not in graph: {edge!r}")
 
     def bind_anchor_delay(self, name: str, delay: int) -> None:
         """Replace an anchor's unbounded delay with an observed value.
@@ -435,30 +484,28 @@ class ConstraintGraph:
                 the schedule's time origin), is not an anchor, or
                 *delay* is not a non-negative int.
         """
-        vertex = self._require(name)
+        v = self._index(name)
         if name == self.source:
             raise GraphStructureError(
                 f"cannot bind the source anchor {name!r}: its activation "
                 f"is the schedule's time origin")
-        if not vertex.is_unbounded:
+        if self._delays[v] != UNBOUNDED_TOKEN:
             raise GraphStructureError(
-                f"vertex {name!r} is not an anchor (delay {vertex.delay!r})")
+                f"vertex {name!r} is not an anchor (delay {self.delta(name)!r})")
         if isinstance(delay, bool) or not isinstance(delay, int) or delay < 0:
             raise GraphStructureError(
                 f"observed delay for {name!r} must be a non-negative int, "
                 f"got {delay!r}")
-        self._vertices[name] = Vertex(name, delay, vertex.tag)
-        for position, edge in enumerate(self._edges):
-            if edge.tail != name or edge.kind is EdgeKind.MAX_TIME:
-                continue
-            bound = Edge(edge.tail, edge.head, delay + edge.static_weight,
-                         edge.kind)
-            self._edges[position] = bound
-            out = self._out[name]
-            out[out.index(edge)] = bound
-            incoming = self._in[edge.head]
-            incoming[incoming.index(edge)] = bound
-        self._pack_dirty = True
+        delays = list(self._delays)
+        delays[v] = _delay_token(delay)
+        records = list(self._records)
+        for i in range(0, len(records), 4):
+            if records[i] == v and records[i + 3] != MAX_TIME_ID:
+                weight = records[i + 2]
+                records[i + 2] = delay + (0 if weight == -UNBOUNDED_TOKEN
+                                          else weight)
+        self._delays = _pack_extend(array("q"), delays)
+        self._records = _pack_extend(array("q"), records)
         self._version += 1
 
     def make_polar(self) -> None:
@@ -468,15 +515,16 @@ class ConstraintGraph:
         incoming forward edge, and from every vertex with no outgoing
         forward edge to the sink.
         """
-        for name in list(self._vertices):
-            if name == self.source:
-                continue
-            if not any(e.is_forward for e in self._in[name]):
-                self.add_sequencing_edge(self.source, name)
-        for name in list(self._vertices):
-            if name == self.sink:
-                continue
-            if not any(e.is_forward for e in self._out[name]):
+        from repro.core.indexed import get_indexed
+
+        names = self._names
+        in_forward = get_indexed(self).in_forward
+        for v in range(1, len(names)):
+            if not in_forward[v]:
+                self.add_sequencing_edge(self.source, names[v])
+        successors = self._forward_successors()
+        for v, name in enumerate(names):
+            if v != 1 and not successors[v]:
                 self.add_sequencing_edge(name, self.sink)
 
     # ------------------------------------------------------------------
@@ -484,42 +532,70 @@ class ConstraintGraph:
     # ------------------------------------------------------------------
 
     def __contains__(self, name: str) -> bool:
-        return name in self._vertices
+        return name in self._vindex
 
     def __len__(self) -> int:
-        return len(self._vertices)
+        return len(self._names)
 
     def vertex(self, name: str) -> Vertex:
-        """The vertex object registered under *name*."""
-        return self._require(name)
+        """The vertex registered under *name* (a view)."""
+        return self._vertex_view()[self._index(name)]
 
     def delta(self, name: str) -> Delay:
         """The execution delay of vertex *name*."""
-        return self._require(name).delay
+        token = self._delays[self._index(name)]
+        return UNBOUNDED if token == UNBOUNDED_TOKEN else token
 
     def vertex_names(self) -> List[str]:
         """All vertex names, in insertion order (deterministic)."""
-        return list(self._vertices)
+        return list(self._names)
 
     def vertices(self) -> List[Vertex]:
-        """All vertex objects, in insertion order."""
-        return list(self._vertices.values())
+        """All vertices as :class:`Vertex` views, in insertion order."""
+        return list(self._vertex_view())
+
+    def _vertex_view(self) -> Tuple[Vertex, ...]:
+        def build() -> Tuple[Vertex, ...]:
+            tags = self._tags
+            return tuple(
+                Vertex(name, UNBOUNDED if token == UNBOUNDED_TOKEN else token,
+                       tags.get(name))
+                for name, token in zip(self._names, self._delays))
+        return self.cached("vertices", build)
 
     def edges(self) -> List[Edge]:
-        """All edges, in insertion order."""
-        return list(self._edges)
+        """All edges as :class:`Edge` views, in insertion order."""
+        return list(self._edge_view())
+
+    def _edge_view(self) -> Tuple[Edge, ...]:
+        def build() -> Tuple[Edge, ...]:
+            names = self._names
+            return tuple(
+                Edge(names[t], names[h],
+                     UNBOUNDED if weight == -UNBOUNDED_TOKEN else weight,
+                     KINDS_BY_ID[kind])
+                for t, h, weight, kind in self.edge_records())
+        return self.cached("edges", build)
+
+    def edge_count(self, backward_only: bool = False) -> int:
+        """``|E|`` (or ``|Eb|`` with *backward_only*), read from the store."""
+        if backward_only:
+            return self._records[3::4].count(MAX_TIME_ID)
+        return len(self._records) >> 2
 
     def forward_edges(self) -> List[Edge]:
         """The forward edge set ``E_f`` (sequencing, min-time, serialization)."""
         return list(self.cached(
             "forward_edges",
-            lambda: tuple(e for e in self._edges if e.kind is not EdgeKind.MAX_TIME)))
+            lambda: tuple(e for e in self._edge_view()
+                          if e.kind is not EdgeKind.MAX_TIME)))
 
     def backward_edges(self) -> List[Edge]:
         """The backward edge set ``E_b`` (maximum timing constraints)."""
         return list(self.cached(
             "backward_edges",
-            lambda: tuple(e for e in self._edges if e.kind is EdgeKind.MAX_TIME)))
+            lambda: tuple(e for e in self._edge_view()
+                          if e.kind is EdgeKind.MAX_TIME)))
 
     def out_edges(self, name: str, forward_only: bool = False) -> Sequence[Edge]:
         """Edges leaving *name*, as an immutable (cached) tuple.
@@ -529,33 +605,25 @@ class ConstraintGraph:
         adjacency lists.  A snapshot taken before a mutation stays
         valid for iteration; the next call re-reads the graph.
         """
-        self._require(name)
-        key = "out_fwd" if forward_only else "out_all"
-        cache: Dict[str, Tuple[Edge, ...]] = self.cached(key, dict)
-        edges = cache.get(name)
-        if edges is None:
-            if forward_only:
-                edges = tuple(e for e in self._out[name]
-                              if e.kind is not EdgeKind.MAX_TIME)
-            else:
-                edges = tuple(self._out[name])
-            cache[name] = edges
-        return edges
+        return self._adjacency("tail", forward_only)[self._index(name)]
 
     def in_edges(self, name: str, forward_only: bool = False) -> Sequence[Edge]:
         """Edges entering *name*, as an immutable (cached) tuple."""
-        self._require(name)
-        key = "in_fwd" if forward_only else "in_all"
-        cache: Dict[str, Tuple[Edge, ...]] = self.cached(key, dict)
-        edges = cache.get(name)
-        if edges is None:
-            if forward_only:
-                edges = tuple(e for e in self._in[name]
-                              if e.kind is not EdgeKind.MAX_TIME)
-            else:
-                edges = tuple(self._in[name])
-            cache[name] = edges
-        return edges
+        return self._adjacency("head", forward_only)[self._index(name)]
+
+    def _adjacency(self, end: str, forward_only: bool
+                   ) -> List[Tuple[Edge, ...]]:
+        """Per-vertex edge tuples grouped by *end* ("tail" or "head")."""
+        def build() -> List[Tuple[Edge, ...]]:
+            index = self._vindex
+            groups: List[List[Edge]] = [[] for _ in self._names]
+            for edge in self._edge_view():
+                if not forward_only or edge.kind is not EdgeKind.MAX_TIME:
+                    groups[index[getattr(edge, end)]].append(edge)
+            return [tuple(group) for group in groups]
+        key = ("out_" if end == "tail" else "in_") + (
+            "fwd" if forward_only else "all")
+        return self.cached(key, build)
 
     def immediate_successors(self, name: str, forward_only: bool = True) -> List[str]:
         """Heads of edges leaving *name* (deduplicated, order-preserving)."""
@@ -577,15 +645,24 @@ class ConstraintGraph:
         (Definition 2), in insertion order."""
         return list(self.cached(
             "anchors",
-            lambda: tuple(v.name for v in self._vertices.values() if v.is_unbounded)))
+            lambda: tuple(name for name, token in zip(self._names, self._delays)
+                          if token == UNBOUNDED_TOKEN)))
 
     def is_anchor(self, name: str) -> bool:
         """True when *name* is the source or has unbounded delay."""
-        return self._require(name).is_unbounded
+        return self._delays[self._index(name)] == UNBOUNDED_TOKEN
 
     # ------------------------------------------------------------------
     # structure checks and transforms
     # ------------------------------------------------------------------
+
+    def _forward_successors(self) -> Sequence[Sequence[Tuple[int, int]]]:
+        """Per vertex index, ``(head, static weight)`` of each forward
+        out-edge in insertion order: the adjacency of this version's
+        indexed compilation, shared with the scheduling kernel."""
+        from repro.core.indexed import get_indexed
+
+        return get_indexed(self).out_forward_w
 
     def forward_topological_order(self) -> List[str]:
         """Topological order of the forward constraint graph ``G_f``.
@@ -597,31 +674,39 @@ class ConstraintGraph:
             CyclicForwardGraphError: if ``G_f`` has a cycle (the paper
                 assumes it acyclic without loss of generality).
         """
-        return list(self.cached("topo_order", self._compute_topological_order))
+        return list(self.cached("topo_order", lambda: tuple(
+            map(self._names.__getitem__, self.forward_topological_indices()))))
 
-    def _compute_topological_order(self) -> Tuple[str, ...]:
+    def forward_topological_indices(self) -> Tuple[int, ...]:
+        """:meth:`forward_topological_order` as vertex indices (positions
+        in :meth:`vertex_names`), memoised per graph version.
+
+        Raises:
+            CyclicForwardGraphError: as :meth:`forward_topological_order`.
+        """
+        return self.cached("topo_indices", self._compute_topological_order)
+
+    def _compute_topological_order(self) -> Tuple[int, ...]:
         from repro.core.exceptions import CyclicForwardGraphError
 
-        backward = EdgeKind.MAX_TIME
-        indegree = {name: 0 for name in self._vertices}
-        for edge in self._edges:
-            if edge.kind is not backward:
-                indegree[edge.head] += 1
-        ready = [name for name, d in indegree.items() if d == 0]
-        order: List[str] = []
+        successors = self._forward_successors()
+        indegree = [0] * len(successors)
+        for edges in successors:
+            for h, _ in edges:
+                indegree[h] += 1
+        ready = [v for v, d in enumerate(indegree) if d == 0]
+        order: List[int] = []
         while ready:
-            name = ready.pop()
-            order.append(name)
-            for edge in self._out[name]:
-                if edge.kind is backward:
-                    continue
-                head = edge.head
-                remaining = indegree[head] - 1
-                indegree[head] = remaining
+            v = ready.pop()
+            order.append(v)
+            for h, _ in successors[v]:
+                remaining = indegree[h] - 1
+                indegree[h] = remaining
                 if remaining == 0:
-                    ready.append(head)
-        if len(order) != len(self._vertices):
-            cyclic = sorted(name for name, d in indegree.items() if d > 0)
+                    ready.append(h)
+        if len(order) != len(successors):
+            cyclic = sorted(self._names[v] for v, d in enumerate(indegree)
+                            if d > 0)
             raise CyclicForwardGraphError(
                 f"forward constraint graph has a cycle through {cyclic}")
         return tuple(order)
@@ -632,19 +717,18 @@ class ConstraintGraph:
         This is the paper's predecessor relation: ``tail in pred(head)``.
         A vertex does not reach itself unless on a (forbidden) cycle.
         """
-        self._require(tail)
-        self._require(head)
-        stack = [tail]
-        seen = {tail}
+        start = self._index(tail)
+        target = self._index(head)
+        successors = self._forward_successors()
+        stack = [start]
+        seen = {start}
         while stack:
-            current = stack.pop()
-            for edge in self._out[current]:
-                if not edge.is_forward or edge.head in seen:
-                    continue
-                if edge.head == head:
+            for h, _ in successors[stack.pop()]:
+                if h == target:
                     return True
-                seen.add(edge.head)
-                stack.append(edge.head)
+                if h not in seen:
+                    seen.add(h)
+                    stack.append(h)
         return False
 
     def validate(self) -> None:
@@ -658,50 +742,37 @@ class ConstraintGraph:
         Raises:
             GraphStructureError / CyclicForwardGraphError on violation.
         """
-        order = self.forward_topological_order()
-        position = {name: i for i, name in enumerate(order)}
-        if position.get(self.source) != 0 and any(
-                e.is_forward for e in self._in[self.source]):
+        order = self.forward_topological_indices()
+        if order[0] != 0 and any(h == 0 and kind != MAX_TIME_ID
+                                 for _, h, _, kind in self.edge_records()):
             raise GraphStructureError("source vertex has incoming forward edges")
-
-        reachable_from_source = {self.source}
-        for name in order:
-            if name not in reachable_from_source:
-                continue
-            for edge in self._out[name]:
-                if edge.is_forward:
-                    reachable_from_source.add(edge.head)
-        reaches_sink = {self.sink}
-        for name in reversed(order):
-            for edge in self._out[name]:
-                if edge.is_forward and edge.head in reaches_sink:
-                    reaches_sink.add(name)
-                    break
-        for name in self._vertices:
-            if name not in reachable_from_source:
+        successors = self._forward_successors()
+        reachable_from_source = {0}
+        for v in order:
+            if v in reachable_from_source:
+                reachable_from_source.update(h for h, _ in successors[v])
+        reaches_sink = {1}
+        for v in reversed(order):
+            if any(h in reaches_sink for h, _ in successors[v]):
+                reaches_sink.add(v)
+        for v, name in enumerate(self._names):
+            if v not in reachable_from_source:
                 raise GraphStructureError(f"vertex {name!r} unreachable from source")
-            if name not in reaches_sink:
+            if v not in reaches_sink:
                 raise GraphStructureError(f"vertex {name!r} cannot reach the sink")
-        for edge in self._edges:
-            if edge.is_unbounded and not self._vertices[edge.tail].is_unbounded:
+        for t, _, weight, _ in self.edge_records():
+            if (weight == -UNBOUNDED_TOKEN
+                    and self._delays[t] != UNBOUNDED_TOKEN):
                 raise GraphStructureError(
-                    f"unbounded weight on edge from bounded vertex {edge.tail!r}")
+                    f"unbounded weight on edge from bounded vertex "
+                    f"{self._names[t]!r}")
 
     def copy(self) -> "ConstraintGraph":
-        """An independent deep copy (vertices and edges are immutable)."""
+        """An independent copy of the store (no derived views)."""
         clone = ConstraintGraph.__new__(ConstraintGraph)
-        clone._vertices = dict(self._vertices)
-        clone._edges = list(self._edges)
-        clone._out = {name: list(edges) for name, edges in self._out.items()}
-        clone._in = {name: list(edges) for name, edges in self._in.items()}
-        clone._version = 0
-        clone._analysis_cache = {}
-        clone._cache_version = -1
+        clone._adopt(self._names[:], self._delays[:], self._records[:],
+                     dict(self._tags))
         clone._cache_lock = make_rlock("graph.cache")
-        clone._vindex = dict(self._vindex)
-        clone._vdelay_tok = self._vdelay_tok[:]
-        clone._epack = self._epack[:]
-        clone._pack_dirty = self._pack_dirty
         clone.source = self.source
         clone.sink = self.sink
         return clone
@@ -720,9 +791,9 @@ class ConstraintGraph:
         import networkx as nx
 
         graph = nx.MultiDiGraph(source=self.source, sink=self.sink)
-        for vertex in self._vertices.values():
+        for vertex in self.vertices():
             graph.add_node(vertex.name, delay=vertex.delay)
-        for edge in self._edges:
+        for edge in self.edges():
             graph.add_edge(edge.tail, edge.head, weight=edge.static_weight,
                            unbounded=edge.is_unbounded, kind=edge.kind.value)
         return graph
@@ -731,11 +802,11 @@ class ConstraintGraph:
         """A Graphviz dot rendering; backward edges are dashed, anchors
         double-circled, unbounded weights printed as ``d(tail)``."""
         lines = ["digraph constraint_graph {", "  rankdir=TB;"]
-        for vertex in self._vertices.values():
+        for vertex in self.vertices():
             shape = "doublecircle" if vertex.is_unbounded else "circle"
             delay = "?" if vertex.is_unbounded else str(vertex.delay)
             lines.append(f'  "{vertex.name}" [shape={shape} label="{vertex.name}\\n{delay}"];')
-        for edge in self._edges:
+        for edge in self.edges():
             style = "dashed" if edge.is_backward else "solid"
             label = f"d({edge.tail})" if edge.is_unbounded else str(edge.weight)
             lines.append(
@@ -744,6 +815,7 @@ class ConstraintGraph:
         return "\n".join(lines)
 
     def __repr__(self) -> str:
-        return (f"ConstraintGraph(|V|={len(self._vertices)}, |Ef|="
-                f"{len(self.forward_edges())}, |Eb|={len(self.backward_edges())}, "
+        backward = self.edge_count(backward_only=True)
+        return (f"ConstraintGraph(|V|={len(self)}, |Ef|="
+                f"{self.edge_count() - backward}, |Eb|={backward}, "
                 f"|A|={len(self.anchors)})")

@@ -8,7 +8,8 @@ propagation.  The seed implemented all of them directly on
 paying per-edge attribute lookups, dict hashing and dense
 ``|V| * |E|`` Bellman-Ford rounds in every stage.
 
-This module compiles a graph once into an :class:`IndexedGraph`:
+This module compiles a graph's integer store once into an
+:class:`IndexedGraph`:
 
 * vertices interned to dense integers (``names[i]`` / ``index[name]``),
   anchors additionally interned to *slots* so an anchor set becomes a
@@ -57,11 +58,14 @@ from repro.core.exceptions import (
     ScheduleViolationError,
     UnfeasibleConstraintsError,
 )
-from repro.core.graph import ConstraintGraph, Edge, EdgeKind
+from repro.core.graph import MAX_TIME_ID, UNBOUNDED_TOKEN, ConstraintGraph
 from repro.observability.tracer import STATE as _OBS
 
 if TYPE_CHECKING:  # the scheduler module imports this one at call time
     from repro.core.scheduler import ScheduleTrace
+
+#: An unbounded edge weight in the store's encoding.
+_UNBOUNDED_WEIGHT = -UNBOUNDED_TOKEN
 
 try:  # numpy accelerates the dense anchor analyses; every consumer has
     import numpy as _np  # a pure-Python fallback, so its absence only
@@ -72,19 +76,20 @@ except ImportError:  # pragma: no cover - numpy ships with the toolchain
 class IndexedGraph:
     """CSR-style compilation of a :class:`ConstraintGraph`.
 
-    All vertex references are dense ints (positions in ``names``); all
-    weights are pre-evaluated static weights (unbounded delays at their
-    minimum 0, per Section III).  Instances are immutable snapshots of
-    one graph version -- obtain them via :func:`get_indexed`, never
-    hold one across a graph mutation.
+    Compiled straight from the graph's store (:meth:`ConstraintGraph.packed`),
+    without building Vertex or Edge objects.  All vertex references are
+    dense ints (positions in ``names``); all weights are pre-evaluated
+    static weights (unbounded delays at their minimum 0, per Section
+    III).  Instances are immutable snapshots of one graph version --
+    obtain them via :func:`get_indexed`, never hold one across a graph
+    mutation.
     """
 
     __slots__ = (
         "n", "names", "index", "source", "sink",
         "anchor_vertices", "anchor_slot", "anchor_names", "n_anchors",
         "out_all", "out_bounded", "out_forward_w",
-        "in_forward", "unbounded_out", "backward", "backward_edges",
-        "edges", "_edge_raw", "_edge_arrays",
+        "in_forward", "unbounded_out", "backward",
     )
 
     def __init__(self, graph: ConstraintGraph) -> None:
@@ -94,11 +99,12 @@ class IndexedGraph:
         self.n = n
         self.names = names
         self.index = index
-        self.source = index[graph.source]
-        self.sink = index[graph.sink]
+        self.source = 0  # the store keeps the source first, the sink second
+        self.sink = 1
 
-        vertices = graph.vertices()
-        anchor_vertices = [i for i, v in enumerate(vertices) if v.is_unbounded]
+        tokens, _ = graph.packed()
+        anchor_vertices = [i for i, token in enumerate(tokens)
+                           if token == UNBOUNDED_TOKEN]
         anchor_slot = [-1] * n
         for slot, vid in enumerate(anchor_vertices):
             anchor_slot[vid] = slot
@@ -117,63 +123,30 @@ class IndexedGraph:
         in_forward: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
         #: heads of unbounded out-edges (first hops of defining paths)
         unbounded_out: List[List[int]] = [[] for _ in range(n)]
+        #: backward edges (t, h, w) in insertion order
         backward: List[Tuple[int, int, int]] = []
-        backward_edges: List[Edge] = []
-
-        edge_tails: List[int] = []
-        edge_heads: List[int] = []
-        edge_weights: List[int] = []
-        #: every edge in graph insertion order -- the row order of
-        #: ``edge_arrays``, so a vectorized finding maps back to its Edge.
-        self.edges = list(graph.edges())
-        for edge in self.edges:
-            t = index[edge.tail]
-            h = index[edge.head]
-            w = edge.weight
-            unbounded = not isinstance(w, int)
-            sw = 0 if unbounded else w
-            edge_tails.append(t)
-            edge_heads.append(h)
-            edge_weights.append(sw)
-            out_all[t].append((h, sw))
-            if unbounded:
+        for t, h, w, kind in graph.edge_records():
+            if w == _UNBOUNDED_WEIGHT:
+                pair = (h, 0)
                 unbounded_out[t].append(h)
             else:
-                out_bounded[t].append((h, sw))
-            if edge.kind is EdgeKind.MAX_TIME:
-                backward.append((t, h, sw))
-                backward_edges.append(edge)
+                pair = (h, w)
+                out_bounded[t].append(pair)
+            out_all[t].append(pair)
+            if kind == MAX_TIME_ID:
+                backward.append((t, h, w))
             else:
-                out_forward_w[t].append((h, sw))
-                in_forward[h].append((t, sw))
+                out_forward_w[t].append(pair)
+                in_forward[h].append((t, pair[1]))
 
-        self.out_all = out_all
-        self.out_bounded = out_bounded
-        self.out_forward_w = out_forward_w
-        self.in_forward = in_forward
-        self.unbounded_out = unbounded_out
+        # Frozen into tuples: tuples of ints drop out of the garbage
+        # collector's view after its first pass, lists stay in it.
+        self.out_all = tuple(map(tuple, out_all))
+        self.out_bounded = tuple(map(tuple, out_bounded))
+        self.out_forward_w = tuple(map(tuple, out_forward_w))
+        self.in_forward = tuple(map(tuple, in_forward))
+        self.unbounded_out = tuple(map(tuple, unbounded_out))
         self.backward = backward
-        self.backward_edges = backward_edges
-        self._edge_raw = (edge_tails, edge_heads, edge_weights)
-        self._edge_arrays = None
-
-    @property
-    def edge_arrays(self):
-        """(tails, heads, static weights) as numpy arrays for the
-        vectorized all-edges schedule check; None without numpy.
-
-        Built on first access: only graphs past the numpy gate ever
-        consume these, so small graphs (the common case on the paper
-        designs) must not pay the array construction at compile time.
-        """
-        if self._edge_arrays is None and _np is not None:
-            tails, heads, weights = self._edge_raw
-            self._edge_arrays = (
-                _np.array(tails, dtype=_np.intp),
-                _np.array(heads, dtype=_np.intp),
-                _np.array(weights, dtype=_np.float64),
-            )
-        return self._edge_arrays
 
 
 def get_indexed(graph: ConstraintGraph) -> IndexedGraph:
@@ -187,37 +160,19 @@ def get_indexed(graph: ConstraintGraph) -> IndexedGraph:
 _NUMPY_MIN_N = 64
 
 #: Per-stage crossovers: the fixed per-call cost of each vectorized
-#: stage differs (the certifier builds one dense table; round 1 builds
-#: level batches; the irredundant scan builds length matrices), so each
-#: gets its own gate rather than sharing one global threshold.
+#: stage differs (round 1 builds level batches; the irredundant scan
+#: builds length matrices), so each gets its own gate rather than
+#: sharing one global threshold.
 _STAGE_MIN_N = {
     "round1": 64,
     "irredundant": 64,
-    "table_check": 64,
 }
 
 
 def _use_numpy(idx: IndexedGraph, stage: Optional[str] = None) -> bool:
-    """Whether the vectorized sweeps pay off for this graph and stage.
-
-    Deliberately does not touch ``idx.edge_arrays``: the arrays build
-    lazily on first access, and only the table-check stage consumes
-    them, so gating must not force the construction.
-    """
+    """Whether the vectorized sweeps pay off for this graph and stage."""
     min_n = _STAGE_MIN_N.get(stage, _NUMPY_MIN_N)
     return _np is not None and idx.n >= min_n and idx.n_anchors > 0
-
-
-def _topo_indices(graph: ConstraintGraph, idx: IndexedGraph) -> List[int]:
-    """Forward topological order as dense indices (memoised).
-
-    Raises:
-        CyclicForwardGraphError: if the forward graph is cyclic.
-    """
-    index = idx.index
-    return graph.cached(
-        "topo_indices",
-        lambda: [index[name] for name in graph.forward_topological_order()])
 
 
 def _positions(graph: ConstraintGraph, idx: IndexedGraph) -> List[int]:
@@ -226,7 +181,7 @@ def _positions(graph: ConstraintGraph, idx: IndexedGraph) -> List[int]:
     falling back to insertion order on a cyclic forward graph (the
     worklist stays correct for any pop order)."""
     try:
-        topo = _topo_indices(graph, idx)
+        topo = graph.forward_topological_indices()
     except CyclicForwardGraphError:
         return list(range(idx.n))
     pos = [0] * idx.n
@@ -307,7 +262,7 @@ def has_positive_cycle_indexed(graph: ConstraintGraph) -> bool:
     if n == 0:
         return False
     try:
-        topo = _topo_indices(graph, idx)
+        topo = graph.forward_topological_indices()
     except CyclicForwardGraphError:
         return _has_positive_cycle_worklist(graph, idx)
     dist = [0] * n
@@ -365,7 +320,7 @@ def _has_positive_cycle_worklist(graph: ConstraintGraph,
 def dag_longest_from(graph: ConstraintGraph, start: str) -> Dict[str, Optional[int]]:
     """Longest forward-only path lengths in one indexed topological sweep."""
     idx = get_indexed(graph)
-    topo = _topo_indices(graph, idx)
+    topo = graph.forward_topological_indices()
     dist: List[Optional[int]] = [None] * idx.n
     dist[idx.index[start]] = 0
     out_forward_w = idx.out_forward_w
@@ -420,7 +375,7 @@ def anchored_lengths_for_slot(graph: ConstraintGraph, idx: IndexedGraph,
         if (masks[v] >> slot) & 1:
             allowed[v] = 1
     allowed[anchor_vertex] = 1
-    topo_cone = [v for v in _topo_indices(graph, idx) if allowed[v]]
+    topo_cone = [v for v in graph.forward_topological_indices() if allowed[v]]
     back_cone = [(t, h, w) for t, h, w in idx.backward
                  if allowed[t] and allowed[h]]
     out_forward_w = idx.out_forward_w
@@ -470,7 +425,7 @@ def anchor_masks(graph: ConstraintGraph) -> List[int]:
     """
     def build() -> List[int]:
         idx = get_indexed(graph)
-        topo = _topo_indices(graph, idx)
+        topo = graph.forward_topological_indices()
         masks = [0] * idx.n
         out_forward_w = idx.out_forward_w
         unbounded_out = idx.unbounded_out
@@ -594,7 +549,7 @@ def _level_batches(graph: ConstraintGraph):
     """
     def build():
         idx = get_indexed(graph)
-        topo = _topo_indices(graph, idx)
+        topo = graph.forward_topological_indices()
         n = idx.n
         out_forward_w = idx.out_forward_w
         depth = [0] * n
@@ -904,7 +859,7 @@ def schedule_offsets(graph: ConstraintGraph,
     if trace is not None:
         from repro.core.scheduler import IterationRecord
     idx = get_indexed(graph)
-    topo = _topo_indices(graph, idx)
+    topo = graph.forward_topological_indices()
     n = idx.n
     n_anchors = idx.n_anchors
     anchor_slot = idx.anchor_slot
@@ -1093,7 +1048,7 @@ def schedule_offsets(graph: ConstraintGraph,
         if trace is not None:
             trace.records.append(IterationRecord(
                 round_index, computed,
-                [(idx.backward_edges[b], idx.anchor_names[slot])
+                [(graph.backward_edges()[b], idx.anchor_names[slot])
                  for b, slot in violations],
                 _offsets_to_dicts(idx, tracked, offsets)))
     converged = not violations
@@ -1163,64 +1118,33 @@ def offset_violation(graph: ConstraintGraph, rows: List[List[int]],
 
     Every edge ``(t, h)`` with static weight ``w`` must satisfy
     ``sigma_a(h) >= sigma_a(t) + w`` for each anchor tracked at both
-    ends, a tail anchor at its implicit offset 0 (Definition 3).  The
-    witness is the first violated edge in insertion order, at its lowest
-    anchor slot.  Below the ``table_check`` gate this is one scalar pass
-    over the edges; at or above it, one numpy comparison of the table.
+    ends, a tail anchor at its implicit offset 0 (Definition 3).  One
+    scalar pass over the graph's edge records in insertion order; the
+    witness is the first violated edge, at its lowest anchor slot.
     """
     idx = get_indexed(graph)
-    tails, heads, weights = idx._edge_raw
-    found = None
-    if _use_numpy(idx, "table_check"):
-        table = _np.array(rows, dtype=_np.float64)
-        table[table < 0] = -_np.inf
-        found = _find_table_violation(idx, table)
-    else:
-        anchor_slot = idx.anchor_slot
-        for e, (t, h, w) in enumerate(zip(tails, heads, weights)):
-            tail_row, head_row = rows[t], rows[h]
-            lowest = -1
-            for slot in tracked[t]:
-                if 0 <= head_row[slot] < tail_row[slot] + w:
-                    lowest = slot
-                    break
-            own = anchor_slot[t]  # a tail anchor, at its implicit 0
-            if (own >= 0 and tail_row[own] < 0 and 0 <= head_row[own] < w
-                    and not 0 <= lowest < own):
-                lowest = own
-            if lowest >= 0:
-                found = e, lowest
+    anchor_slot = idx.anchor_slot
+    for e, (t, h, w, _) in enumerate(graph.edge_records()):
+        if w == _UNBOUNDED_WEIGHT:
+            w = 0
+        tail_row, head_row = rows[t], rows[h]
+        lowest = -1
+        for slot in tracked[t]:
+            if 0 <= head_row[slot] < tail_row[slot] + w:
+                lowest = slot
                 break
-    if found is None:
-        return None
-    e, slot = found
-    edge = idx.edges[e]
-    return OffsetViolation(edge=edge, anchor=idx.anchor_names[slot],
-                           head_offset=rows[heads[e]][slot],
-                           tail_offset=max(rows[tails[e]][slot], 0),
-                           weight=edge.static_weight)
-
-
-def _find_table_violation(idx: IndexedGraph,
-                          table) -> Optional[Tuple[int, int]]:
-    """The first violated ``(edge_index, anchor_slot)`` of the
-    ``(|V|, |A|)`` offset *table* (``-inf`` untracked), tail anchors
-    read at their implicit self offset 0; None when every edge
-    inequality holds."""
-    neg = -_np.inf
-    tracked = table != neg
-    with_self = table.copy()
-    for slot, anchor_vertex in enumerate(idx.anchor_vertices):
-        if with_self[anchor_vertex, slot] == neg:
-            with_self[anchor_vertex, slot] = 0.0
-    tails, heads, weights = idx.edge_arrays
-    violated = table[heads] < with_self[tails] + weights[:, None]
-    violated &= with_self[tails] != neg
-    violated &= tracked[heads]
-    if not bool(violated.any()):
-        return None
-    edge_index, slot = _np.argwhere(violated)[0]
-    return int(edge_index), int(slot)
+        own = anchor_slot[t]  # a tail anchor, at its implicit 0
+        if (own >= 0 and tail_row[own] < 0 and 0 <= head_row[own] < w
+                and not 0 <= lowest < own):
+            lowest = own
+        if lowest >= 0:
+            edge = graph.edges()[e]
+            return OffsetViolation(
+                edge=edge, anchor=idx.anchor_names[lowest],
+                head_offset=head_row[lowest],
+                tail_offset=max(tail_row[lowest], 0),
+                weight=edge.static_weight)
+    return None
 
 
 def _offsets_to_dicts(idx: IndexedGraph, tracked: List[List[int]],

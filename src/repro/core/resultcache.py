@@ -82,6 +82,7 @@ class ScheduleCache:
         self.hits = 0
         self.misses = 0
         self.rejected_lines = 0
+        self._dir_made = False  # the backing file's directory, on first write
         self._load()
 
     def __len__(self) -> int:
@@ -169,7 +170,9 @@ class ScheduleCache:
             payload = ("\n".join(self._pending) + "\n").encode("utf-8")
             self._pending = []
         try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
+            if not self._dir_made:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._dir_made = True
             fd = os.open(self.path,
                          os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
             try:

@@ -27,14 +27,6 @@ from repro.core.graph import ConstraintGraph, Edge, EdgeKind
 from repro.core.paths import has_positive_cycle
 from repro.observability.tracer import STATE as _OBS
 
-#: Below this vertex count :func:`check_well_posed` re-derives the
-#: verdict with fused scalar sweeps over the dict adjacency instead of
-#: compiling the graph to arrays first: on the paper's 5-30 vertex
-#: designs the indexed compilation plus cache plumbing costs more than
-#: both theorem checks combined (measured crossover; the companion
-#: per-stage numpy gates live in ``repro.core.indexed._STAGE_MIN_N``).
-_SCALAR_GATE_N = 64
-
 
 class WellPosedness(enum.Enum):
     """Classification returned by :func:`check_well_posed`."""
@@ -46,7 +38,7 @@ class WellPosedness(enum.Enum):
 
 def is_feasible(graph: ConstraintGraph) -> bool:
     """Theorem 1: feasible iff ``G_0`` has no positive cycle."""
-    graph.forward_topological_order()  # precondition: G_f acyclic
+    graph.forward_topological_indices()  # precondition: G_f acyclic
     return not has_positive_cycle(graph)
 
 
@@ -59,13 +51,17 @@ def containment_violations(graph: ConstraintGraph,
     missing at its head.  Only backward edges can offend: forward edges
     satisfy containment by construction of anchor sets.
     """
+    from repro.core.indexed import get_indexed
+
     if anchor_sets is None:
         anchor_sets = find_anchor_sets(graph)
+    idx = get_indexed(graph)
     violations: List[Tuple[Edge, Set[str]]] = []
-    for edge in graph.backward_edges():
-        missing = set(anchor_sets[edge.tail]) - set(anchor_sets[edge.head])
+    for b, (t, h, _) in enumerate(idx.backward):
+        missing = (set(anchor_sets[idx.names[t]])
+                   - set(anchor_sets[idx.names[h]]))
         if missing:
-            violations.append((edge, missing))
+            violations.append((graph.backward_edges()[b], missing))
     return violations
 
 
@@ -82,96 +78,21 @@ def check_well_posed(graph: ConstraintGraph,
         CyclicForwardGraphError: if the forward graph is cyclic (the
             formulation's precondition, checked up front).
     """
-    if anchor_sets is not None:
-        graph.forward_topological_order()
-        if has_positive_cycle(graph):
-            status = WellPosedness.UNFEASIBLE
-        elif containment_violations(graph, anchor_sets):
-            status = WellPosedness.ILL_POSED
-        else:
-            status = WellPosedness.WELL_POSED
-    elif len(graph) < _SCALAR_GATE_N:
-        status = _scalar_verdict(graph)
-    else:
-        from repro.core.indexed import has_containment_violation
+    from repro.core.indexed import has_containment_violation
 
-        graph.forward_topological_order()
-        if has_positive_cycle(graph):
-            status = WellPosedness.UNFEASIBLE
-        elif has_containment_violation(graph):
-            status = WellPosedness.ILL_POSED
-        else:
-            status = WellPosedness.WELL_POSED
+    graph.forward_topological_indices()
+    if has_positive_cycle(graph):
+        status = WellPosedness.UNFEASIBLE
+    elif (containment_violations(graph, anchor_sets) if anchor_sets is not None
+          else has_containment_violation(graph)):
+        status = WellPosedness.ILL_POSED
+    else:
+        status = WellPosedness.WELL_POSED
     tracer = _OBS.tracer
     if tracer.enabled:
         tracer.count("wellposed.checks")
         tracer.event("wellposed.verdict", status=status.value)
     return status
-
-
-def _scalar_verdict(graph: ConstraintGraph) -> WellPosedness:
-    """Both theorem checks fused over the dict adjacency (small graphs).
-
-    Mirrors the indexed kernel sweep for sweep -- one forward
-    topological relaxation alternated with one backward-edge pass,
-    improvement past ``|Eb| + 1`` rounds certifying a positive cycle
-    (Theorem 1), then anchor bitmasks propagated along forward edges and
-    tested for containment across backward edges (Theorem 2) -- but
-    skips the array compilation, whose fixed cost exceeds the checks
-    themselves below :data:`_SCALAR_GATE_N`.
-
-    Raises:
-        CyclicForwardGraphError: if the forward graph is cyclic.
-    """
-    topo = graph.forward_topological_order()
-    backward = [e for e in graph.edges() if e.kind is EdgeKind.MAX_TIME]
-    out = graph._out
-    max_time = EdgeKind.MAX_TIME
-    dist = dict.fromkeys(topo, 0)
-    rounds = 0
-    while True:
-        for v in topo:
-            base = dist[v]
-            for edge in out[v]:
-                if edge.kind is max_time:
-                    continue
-                candidate = base + edge.static_weight
-                if candidate > dist[edge.head]:
-                    dist[edge.head] = candidate
-        improved = False
-        for edge in backward:
-            candidate = dist[edge.tail] + edge.static_weight
-            if candidate > dist[edge.head]:
-                dist[edge.head] = candidate
-                improved = True
-        if not improved:
-            break
-        rounds += 1
-        if rounds > len(backward) + 1:
-            return WellPosedness.UNFEASIBLE
-    if not backward:
-        return WellPosedness.WELL_POSED
-    # Theorem 2 on per-vertex anchor bitmasks: a forward edge ORs the
-    # tail's mask into the head's; an unbounded edge additionally
-    # injects the tail's own anchor bit (cf. indexed.anchor_masks).
-    masks = dict.fromkeys(topo, 0)
-    vertices = graph._vertices
-    slots: Dict[str, int] = {}
-    for v in topo:
-        mask = masks[v]
-        with_self = -1
-        for edge in out[v]:
-            if edge.is_unbounded and vertices[v].is_unbounded:
-                if with_self < 0:
-                    slot = slots.setdefault(v, len(slots))
-                    with_self = mask | (1 << slot)
-                masks[edge.head] |= with_self
-            elif edge.kind is not max_time:
-                masks[edge.head] |= mask
-    for edge in backward:
-        if masks[edge.tail] & ~masks[edge.head]:
-            return WellPosedness.ILL_POSED
-    return WellPosedness.WELL_POSED
 
 
 def can_be_made_well_posed(graph: ConstraintGraph) -> bool:
@@ -238,19 +159,29 @@ def make_well_posed(graph: ConstraintGraph, in_place: bool = False) -> Constrain
             cycle -- no well-posed serial-compatible graph exists
             (Lemma 3 / Lemma 7).
     """
+    from repro.core.indexed import get_indexed
+
     result = graph if in_place else graph.copy()
     tracer = _OBS.tracer
     rec = tracer.enabled
     if rec:
         initial_serializations = len(serialization_edges(result))
+    # Serialization only adds forward edges: the backward edges, and the
+    # ones leaving each vertex, stay fixed for the whole pass.
+    idx = get_indexed(result)
+    backward = [(idx.names[t], idx.names[h]) for t, h, _ in idx.backward]
+    backward_out: Dict[str, List[str]] = {}
+    for tail, head in backward:
+        backward_out.setdefault(tail, []).append(head)
     for _ in range(len(result) * max(1, len(result.anchors))):
         anchor_sets = {name: set(tags) for name, tags
                        in find_anchor_sets(result).items()}
         added = False
-        for edge in list(result.backward_edges()):
-            missing = sorted(anchor_sets[edge.tail] - anchor_sets[edge.head])
+        for tail, head in backward:
+            missing = sorted(anchor_sets[tail] - anchor_sets[head])
             for anchor in missing:
-                added = _add_serialization(result, anchor_sets, anchor, edge.head) or added
+                added = _add_serialization(result, anchor_sets, backward_out,
+                                           anchor, head) or added
         if not added:
             break
     else:  # pragma: no cover - the loop bound is generous
@@ -277,7 +208,7 @@ def _prune_unnecessary_serializations(graph: ConstraintGraph) -> int:
     (a property the test suite asserts).  Returns the number of edges
     dropped.
     """
-    from repro.core.graph import EdgeKind
+    from repro.core.indexed import has_containment_violation
 
     removed = 0
     changed = True
@@ -286,7 +217,7 @@ def _prune_unnecessary_serializations(graph: ConstraintGraph) -> int:
         for edge in [e for e in graph.edges()
                      if e.kind is EdgeKind.SERIALIZATION]:
             graph.remove_edge(edge)
-            if containment_violations(graph):
+            if has_containment_violation(graph):
                 graph.add_serialization_edge(edge.tail, edge.head)  # required
             else:
                 changed = True
@@ -295,13 +226,14 @@ def _prune_unnecessary_serializations(graph: ConstraintGraph) -> int:
 
 
 def _add_serialization(graph: ConstraintGraph, anchor_sets: Dict[str, set],
+                       backward_out: Dict[str, List[str]],
                        anchor: str, vertex: str) -> bool:
     """The paper's ``addEdge(a, v)``: serialize *vertex* after *anchor*.
 
     Adds the forward edge, updates the (mutable) anchor-set table, and
-    recurses along backward edges leaving *vertex* so that chained
-    maximum constraints stay well-posed.  Returns True when any edge was
-    added.
+    recurses along backward edges leaving *vertex* (*backward_out*
+    lists their heads per tail) so that chained maximum constraints
+    stay well-posed.  Returns True when any edge was added.
 
     Raises:
         IllPosedError: if *vertex* already precedes *anchor* in the
@@ -317,15 +249,11 @@ def _add_serialization(graph: ConstraintGraph, anchor_sets: Dict[str, set],
             f"would be created (constraints are ill-posed)")
     graph.add_serialization_edge(anchor, vertex)
     anchor_sets[vertex].add(anchor)
-    added = True
-    for edge in graph.out_edges(vertex):
-        if edge.is_backward:
-            _add_serialization(graph, anchor_sets, anchor, edge.head)
-    return added
+    for head in backward_out.get(vertex, ()):
+        _add_serialization(graph, anchor_sets, backward_out, anchor, head)
+    return True
 
 
 def serialization_edges(graph: ConstraintGraph) -> List[Edge]:
     """The synchronization edges previously added by ``make_well_posed``."""
-    from repro.core.graph import EdgeKind
-
     return [e for e in graph.edges() if e.kind is EdgeKind.SERIALIZATION]

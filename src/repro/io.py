@@ -34,17 +34,17 @@ wire format, session journals and the regression corpus alike:
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, IO, Union
+from typing import Any, Dict, IO, List, Union
 
 from repro.core.anchors import AnchorMode, anchor_sets_for_mode
 from repro.core.constraints import MaxTimingConstraint, MinTimingConstraint
-from repro.core.delay import UNBOUNDED, Delay, is_unbounded
 from repro.core.exceptions import (
     ConstraintGraphError,
+    GraphStructureError,
     MalformedInputError,
     ScheduleViolationError,
 )
-from repro.core.graph import ConstraintGraph, EdgeKind
+from repro.core.graph import KIND_IDS, UNBOUNDED_TOKEN, ConstraintGraph, EdgeKind
 from repro.core.schedule import RelativeSchedule
 from repro.seqgraph.model import Design, OpKind, Operation, SequencingGraph
 
@@ -63,7 +63,10 @@ _UNBOUNDED_TOKEN = "unbounded"
 #: Edge kinds whose weight is ``delta(tail)``: decoding re-derives it.
 _DERIVED_KINDS = frozenset({EdgeKind.SEQUENCING.value,
                             EdgeKind.SERIALIZATION.value})
+_DERIVED_IDS = frozenset(KIND_IDS[EdgeKind(kind)] for kind in _DERIVED_KINDS)
 _KINDS = {kind.value: kind for kind in EdgeKind}
+_KIND_ID_BY_VALUE = {kind.value: KIND_IDS[kind] for kind in EdgeKind}
+_KIND_VALUES = tuple(kind.value for kind in EdgeKind)
 
 
 # ----------------------------------------------------------------------
@@ -72,25 +75,28 @@ _KINDS = {kind.value: kind for kind in EdgeKind}
 
 
 def graph_to_dict(graph: ConstraintGraph) -> Dict[str, Any]:
-    """Serialize a constraint graph (see the module docs)."""
+    """Serialize a constraint graph (see the module docs), reading its
+    store directly."""
+    names = graph.vertex_names()
+    tokens, _ = graph.packed()
+    tags = graph.tags()
     vertices = []
-    for vertex in graph.vertices():
+    for name, token in zip(names, tokens):
         record: Dict[str, Any] = {
-            "name": vertex.name,
-            "delay": (_UNBOUNDED_TOKEN if is_unbounded(vertex.delay)
-                      else vertex.delay),
+            "name": name,
+            "delay": _UNBOUNDED_TOKEN if token == UNBOUNDED_TOKEN else token,
         }
-        if vertex.tag is not None:
-            record["tag"] = vertex.tag
+        if name in tags:
+            record["tag"] = tags[name]
         vertices.append(record)
     edges = []
-    for edge in graph.edges():
-        kind = edge.kind.value
-        if kind in _DERIVED_KINDS:
-            edges.append({"tail": edge.tail, "head": edge.head, "kind": kind})
+    for t, h, weight, kind in graph.edge_records():
+        if kind in _DERIVED_IDS:
+            edges.append({"tail": names[t], "head": names[h],
+                          "kind": _KIND_VALUES[kind]})
         else:
-            edges.append({"tail": edge.tail, "head": edge.head, "kind": kind,
-                          "weight": edge.weight})
+            edges.append({"tail": names[t], "head": names[h],
+                          "kind": _KIND_VALUES[kind], "weight": weight})
     return {
         "kind": "constraint_graph",
         "version": FORMAT_VERSION,
@@ -177,8 +183,10 @@ def validate_graph_dict(data: Any, *, strict: bool = False) -> None:
         if name in names:
             raise MalformedInputError(f"duplicate vertex {name!r}")
         names.add(name)
-        _check_weight(record["delay"], f"delay of vertex {name!r}",
-                      allow_negative=False)
+        delay = record["delay"]
+        if not (type(delay) is int and 0 <= delay <= MAX_ABS_WEIGHT):
+            _check_weight(delay, f"delay of vertex {name!r}",
+                          allow_negative=False)
         if "tag" in record and not isinstance(record["tag"], str):
             raise MalformedInputError(
                 f"tag of vertex {name!r} must be a string, got {record['tag']!r}")
@@ -194,20 +202,26 @@ def validate_graph_dict(data: Any, *, strict: bool = False) -> None:
                 f"edge #{index} must be an object, got {type(record).__name__}")
         kind = record.get("kind")
         known = isinstance(kind, str) and kind in _KINDS
-        missing = [k for k in ("tail", "head", "kind") if k not in record]
-        if known and kind not in _DERIVED_KINDS and "weight" not in record:
-            missing.append("weight")
-        if missing:
+        # Each check below tests the common valid shape first and builds
+        # its message only when the shape is off.
+        if not ("tail" in record and "head" in record and "kind" in record
+                and (not known or kind in _DERIVED_KINDS
+                     or "weight" in record)):
+            missing = [k for k in ("tail", "head", "kind") if k not in record]
+            if known and kind not in _DERIVED_KINDS and "weight" not in record:
+                missing.append("weight")
             raise MalformedInputError(
                 f"edge #{index} misses required key(s) {missing}")
         tail, head = record["tail"], record["head"]
-        for end, value in (("tail", tail), ("head", head)):
-            if not isinstance(value, str):
-                raise MalformedInputError(
-                    f"edge #{index} {end} must be a string, got {value!r}")
-            if value not in names:
-                raise MalformedInputError(
-                    f"edge #{index} {end} {value!r} is not a declared vertex")
+        if not (isinstance(tail, str) and tail in names
+                and isinstance(head, str) and head in names):
+            for end, value in (("tail", tail), ("head", head)):
+                if not isinstance(value, str):
+                    raise MalformedInputError(
+                        f"edge #{index} {end} must be a string, got {value!r}")
+                if value not in names:
+                    raise MalformedInputError(
+                        f"edge #{index} {end} {value!r} is not a declared vertex")
         if tail == head:
             raise MalformedInputError(
                 f"edge #{index} is a self-loop on {tail!r}")
@@ -216,11 +230,14 @@ def validate_graph_dict(data: Any, *, strict: bool = False) -> None:
                 f"edge #{index} has unknown kind {kind!r} "
                 f"(expected one of {sorted(_KINDS)})")
         if "weight" in record:
-            _check_weight(record["weight"], f"weight of edge #{index}",
-                          allow_negative=True)
+            weight = record["weight"]
+            if not (type(weight) is int
+                    and -MAX_ABS_WEIGHT <= weight <= MAX_ABS_WEIGHT):
+                _check_weight(weight, f"weight of edge #{index}",
+                              allow_negative=True)
         if strict:
             key = (tail, head, kind,
-                   None if kind in _DERIVED_KINDS else str(record["weight"]))
+                   None if kind in _DERIVED_KINDS else record["weight"])
             if key in seen_edges:
                 raise MalformedInputError(
                     f"edge #{index} duplicates an earlier "
@@ -231,15 +248,14 @@ def validate_graph_dict(data: Any, *, strict: bool = False) -> None:
 def graph_from_dict(data: Any, *, strict: bool = False) -> ConstraintGraph:
     """Rebuild the graph serialized by :func:`graph_to_dict`.
 
-    Vertices and edges are re-added in the recorded order through the
-    public construction API, so derived weights (sequencing and
-    serialization edges carry ``delta(tail)``) are re-derived and the
-    rebuilt graph is indistinguishable from the original.
-
-    The payload is validated first (:func:`validate_graph_dict`, once);
-    any problem -- structural, or caught later by the graph
-    construction API -- surfaces as a taxonomy error, never a raw
-    ``KeyError`` / ``TypeError``.
+    The payload is validated first (:func:`validate_graph_dict`, once),
+    then bulk-loaded into the graph's store in one pass: vertices in
+    the recorded order after the source and the sink, edges in the
+    recorded order, sequencing and serialization weights re-derived as
+    ``delta(tail)``.  The rebuilt graph is indistinguishable from the
+    original.  Any problem -- structural, or one of the rules the
+    graph's ``add_*`` methods enforce -- surfaces as a taxonomy error,
+    never a raw ``KeyError`` / ``TypeError``.
     """
     validate_graph_dict(data, strict=strict)
     try:
@@ -252,37 +268,52 @@ def graph_from_dict(data: Any, *, strict: bool = False) -> ConstraintGraph:
             f"{type(error).__name__}: {error}") from error
 
 
-def _delay_from_json(value: Any) -> Delay:
-    """A validated delay: ``"unbounded"`` or a non-negative integer."""
-    return UNBOUNDED if value == _UNBOUNDED_TOKEN else value
-
-
 def _graph_from_valid_dict(data: Dict[str, Any]) -> ConstraintGraph:
-    source = data["source"]
-    sink = data["sink"]
-    records = data["vertices"]
-    sink_delay = next(record["delay"] for record in records
-                      if record["name"] == sink)
-    graph = ConstraintGraph(source=source, sink=sink,
-                            sink_delay=_delay_from_json(sink_delay))
-    for record in records:
-        if record["name"] in (source, sink):
-            continue
-        graph.add_operation(record["name"], _delay_from_json(record["delay"]),
-                            tag=record.get("tag"))
+    """The store of a validated payload, built in one pass."""
+    source, sink = data["source"], data["sink"]
+    if source == sink:
+        raise GraphStructureError(f"duplicate vertex {sink!r}")
+    names = [source, sink]
+    tokens = [UNBOUNDED_TOKEN, 0]
+    tags: Dict[str, str] = {}
+    for record in data["vertices"]:
+        name = record["name"]
+        delay = record["delay"]
+        token = UNBOUNDED_TOKEN if delay == _UNBOUNDED_TOKEN else delay
+        if name == sink:
+            tokens[1] = token
+        elif name != source:
+            names.append(name)
+            tokens.append(token)
+            if "tag" in record:
+                tags[name] = record["tag"]
+    index = {name: i for i, name in enumerate(names)}
+    records: List[int] = []
     for record in data["edges"]:
-        kind = _KINDS[record["kind"]]
-        tail, head = record["tail"], record["head"]
-        if kind is EdgeKind.SEQUENCING:
-            graph.add_sequencing_edge(tail, head)
-        elif kind is EdgeKind.MIN_TIME:
-            graph.add_min_constraint(tail, head, record["weight"])
-        elif kind is EdgeKind.MAX_TIME:
+        kind = record["kind"]
+        t = index[record["tail"]]
+        if kind == "sequencing":
+            weight = tokens[t]
+            weight = -UNBOUNDED_TOKEN if weight == UNBOUNDED_TOKEN else weight
+        elif kind == "min_time":
+            weight = record["weight"]
+            if weight < 0:
+                raise ValueError(
+                    f"minimum timing constraint must be >= 0, got {weight}")
+        elif kind == "max_time":
             # Stored as the backward graph edge (to, from) with -u.
-            graph.add_max_constraint(head, tail, -record["weight"])
+            weight = record["weight"]
+            if weight > 0:
+                raise ValueError(
+                    f"maximum timing constraint must be >= 0, got {-weight}")
+        elif tokens[t] == UNBOUNDED_TOKEN:
+            weight = -UNBOUNDED_TOKEN
         else:
-            graph.add_serialization_edge(tail, head)
-    return graph
+            raise GraphStructureError(
+                f"serialization edges originate at anchors; "
+                f"{record['tail']!r} is bounded")
+        records += (t, index[record["head"]], weight, _KIND_ID_BY_VALUE[kind])
+    return ConstraintGraph.from_packed(names, tokens, records, tags)
 
 
 # ----------------------------------------------------------------------
@@ -508,9 +539,10 @@ def from_dict(data: Any) -> Any:
     if not isinstance(data, dict) or "kind" not in data:
         return graph_from_dict(data)
     kind = data["kind"]
-    deserializer = _DESERIALIZERS.get(kind)
+    deserializer = (_DESERIALIZERS.get(kind)
+                    if isinstance(kind, str) else None)
     if deserializer is None:
-        raise ValueError(f"unknown document kind {kind!r}")
+        raise MalformedInputError(f"unknown document kind {kind!r}")
     return deserializer(data)
 
 
@@ -535,9 +567,16 @@ def load_json(path_or_file: Union[str, IO[str]]) -> Any:
 
 
 def _expect(data: Dict[str, Any], kind: str) -> None:
+    """Check a document header: its ``kind``, and a ``version`` this
+    library reads (MalformedInputError otherwise)."""
     if data.get("kind") != kind:
-        raise ValueError(f"expected a {kind!r} document, got {data.get('kind')!r}")
+        raise MalformedInputError(
+            f"expected a {kind!r} document, got {data.get('kind')!r}")
     version = data.get("version", 0)
+    if isinstance(version, bool) or not isinstance(version, int):
+        raise MalformedInputError(
+            f"document version must be an integer, got {version!r}")
     if version > FORMAT_VERSION:
-        raise ValueError(f"document version {version} is newer than this "
-                         f"library supports ({FORMAT_VERSION})")
+        raise MalformedInputError(
+            f"document version {version} is newer than this library "
+            f"supports ({FORMAT_VERSION})")

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.delay import UNBOUNDED, is_unbounded
-from repro.core.graph import ConstraintGraph, EdgeKind
+from repro.core.graph import ConstraintGraph
 from repro.core.indexed import _NUMPY_MIN_N
 from repro.core.paths import NO_PATH, longest_paths_from
 from repro.designs.random_graphs import random_constraint_graph, random_dag
@@ -251,9 +251,8 @@ def unfeasible_chain_graph(rng: random.Random, n_lo: int = 24,
     """A chain design with a contradictory min/max pair: Theorem 1
     rejects it (positive cycle), exercising the batch error paths."""
     graph = chain_ladder_graph(rng, n_lo, n_hi)
-    names = [v.name for v in graph.vertices()
-             if v.name not in (graph.source, graph.sink)]
-    delays = {v.name: v.delay for v in graph.vertices()}
+    names = graph.vertex_names()[2:]  # the source and the sink come first
+    delays = {name: graph.delta(name) for name in names}
     for i in range(len(names) - 3):
         segment = names[i:i + 3]
         if any(is_unbounded(delays[name]) for name in segment):
@@ -275,36 +274,27 @@ def renamed_isomorph(graph: ConstraintGraph,
     both vertex and edge insertion orders are shuffled, so nothing about
     the serialized form survives -- only the structure.  The canonical
     hash must map the copy to the same key as *graph*; a result cache
-    keyed on it turns the copy into a hit.
+    keyed on it turns the copy into a hit.  The copy is built by
+    permuting *graph*'s store (the source and the sink stay first).
     """
-    names = [v.name for v in graph.vertices()
-             if v.name not in (graph.source, graph.sink)]
-    permutation = list(range(len(names)))
+    names = graph.vertex_names()
+    permutation = list(range(len(names) - 2))
     rng.shuffle(permutation)
-    rename = {name: f"r{p}" for name, p in zip(names, permutation)}
-    rename[graph.source] = graph.source
-    rename[graph.sink] = graph.sink
-    copy = ConstraintGraph(source=graph.source, sink=graph.sink,
-                           sink_delay=graph._vertices[graph.sink].delay)
-    order = list(names)
+    renamed = names[:2] + [f"r{p}" for p in permutation]
+    order = list(range(2, len(names)))
     rng.shuffle(order)
-    for name in order:
-        vertex = graph._vertices[name]
-        copy.add_operation(rename[name], vertex.delay, tag=vertex.tag)
-    edges = graph.edges()
+    order = [0, 1] + order
+    position = {v: i for i, v in enumerate(order)}
+    tokens, _ = graph.packed()
+    tags = graph.tags()
+    edges = list(graph.edge_records())
     rng.shuffle(edges)
-    for edge in edges:
-        tail, head = rename[edge.tail], rename[edge.head]
-        if edge.kind is EdgeKind.SEQUENCING:
-            copy.add_sequencing_edge(tail, head)
-        elif edge.kind is EdgeKind.MIN_TIME:
-            copy.add_min_constraint(tail, head, edge.weight)
-        elif edge.kind is EdgeKind.MAX_TIME:
-            # Stored as the backward graph edge (to, from) with -u.
-            copy.add_max_constraint(head, tail, -edge.weight)
-        else:
-            copy.add_serialization_edge(tail, head)
-    return copy
+    records: List[int] = []
+    for t, h, weight, kind in edges:
+        records += (position[t], position[h], weight, kind)
+    return ConstraintGraph.from_packed(
+        [renamed[v] for v in order], [tokens[v] for v in order], records,
+        {renamed[v]: tags[names[v]] for v in order if names[v] in tags})
 
 
 def batch_corpus(seed: int, size: int, *, n_unique: int = 30,

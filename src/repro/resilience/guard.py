@@ -56,12 +56,12 @@ class RunBudget:
 
     def check_size(self, graph: ConstraintGraph) -> None:
         """Refuse an oversized graph (BudgetExceededError)."""
-        n_vertices = len(graph.vertex_names())
+        n_vertices = len(graph)
         if self.max_vertices is not None and n_vertices > self.max_vertices:
             raise BudgetExceededError(
                 f"graph has {n_vertices} vertices, over the budget of "
                 f"{self.max_vertices}")
-        n_edges = len(graph.edges())
+        n_edges = graph.edge_count()
         if self.max_edges is not None and n_edges > self.max_edges:
             raise BudgetExceededError(
                 f"graph has {n_edges} edges, over the budget of "
@@ -71,7 +71,7 @@ class RunBudget:
         """Refuse a graph whose worst-case round count is over budget."""
         if self.max_iterations is None:
             return
-        bound = len(graph.backward_edges()) + 1
+        bound = graph.edge_count(backward_only=True) + 1
         if bound > self.max_iterations:
             raise BudgetExceededError(
                 f"Theorem 8 iteration bound |Eb|+1 = {bound} exceeds the "
@@ -199,8 +199,8 @@ def untrusted_graph_from_dict(data: Any,
     The tail of :func:`load_untrusted_graph`, exposed for callers that
     parse JSON themselves (the HTTP service decodes whole request
     bodies): declared-size caps *before* any graph object is built,
-    then strict structural validation, then reconstruction through the
-    public graph API.
+    then strict structural validation, then one bulk load into the
+    graph's store (:func:`repro.io.graph_from_dict`).
 
     Raises:
         MalformedInputError: the payload is not an object or fails

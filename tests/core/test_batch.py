@@ -321,6 +321,39 @@ class TestRunShape:
         assert depths == [depths[0]] * 4
         assert depths[0] <= 3
 
+    def test_dropped_schedule_is_rebuilt_equal(self):
+        """A run holds an unpacked schedule only while the caller does:
+        once dropped, the next unpack builds an equal one."""
+        import gc
+        import weakref
+
+        rng = random.Random(12)
+        run = schedule_many([chain_ladder_graph(rng) for _ in range(3)])
+        first = run[0].unpack()
+        expected = copy.deepcopy(first.offsets)
+        handle = weakref.ref(first)
+        del first
+        gc.collect()
+        assert handle() is None
+        again = run[0].unpack()
+        assert again.offsets == expected
+        assert run[0].unpack() is again
+
+    def test_graph_beyond_int64_goes_per_graph(self):
+        """A delay past int64 demotes the graph's packs to lists; the
+        batch routes that graph per graph instead of failing the call."""
+        huge = ConstraintGraph(source="s", sink="t")
+        huge.add_operation("a", 2 ** 70)
+        huge.add_sequencing_edges([("s", "a"), ("a", "t")])
+        assert type(huge.packed()[0]) is list
+        other = chain_ladder_graph(random.Random(13))
+        run = schedule_many([huge, other])
+        assert run[0].fallback
+        assert run[0].unpack().offsets == schedule_graph(
+            huge.copy(), anchor_mode=AnchorMode.FULL).offsets
+        assert run[1].ok
+        assert run[1].fallback is (batch._np is None)  # the arena took it
+
 
 class TestIllPosedFallback:
     def test_ill_posed_graph_falls_back_and_serializes(self, fig3b_graph):

@@ -1,9 +1,9 @@
 """The one schedule certificate (:func:`repro.core.indexed.offset_violation`).
 
-* Witness differential: on both sides of the ``table_check`` numpy gate,
-  and with numpy switched off, ``RelativeSchedule.validate()`` names the
-  same witness as the dict scan of :mod:`repro.core.reference` for every
-  corrupted offset cell, and passes whenever the scan passes.
+* Witness differential: below and above the 64-vertex numpy gates,
+  with numpy present and switched off, ``RelativeSchedule.validate()``
+  names the same witness as the dict scan of :mod:`repro.core.reference`
+  for every corrupted offset cell, and passes whenever the scan passes.
 * Self-certification: a kernel that ignores every maximum constraint
   cannot hand out a schedule; the certificate inside
   :func:`repro.core.indexed.schedule_offsets` stops it.
@@ -59,8 +59,6 @@ def test_witness_matches_the_reference_scan(n_vertices, mode, use_numpy,
     assert len(graph.vertex_names()) == n_vertices
     if not use_numpy:
         monkeypatch.setattr(indexed, "_np", None)
-    assert indexed._use_numpy(indexed.get_indexed(graph), "table_check") == (
-        use_numpy and n_vertices >= indexed._STAGE_MIN_N["table_check"])
     schedule.validate()
 
     rng = random.Random(f"{n_vertices}/{mode.value}")

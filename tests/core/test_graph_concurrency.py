@@ -105,15 +105,18 @@ class TestCachedUnderThreads:
             assert schedule.offsets == baseline.offsets
             assert schedule.iterations == baseline.iterations
 
-    def test_concurrent_packed_reads_are_consistent(self):
+    def test_concurrent_view_builds_are_consistent(self):
+        """Threads racing to build the edge and vertex views of a fresh
+        version share one build, and it agrees with the store."""
         graph = _graph(seed=10, n=40)
-        graph._pack_dirty = True  # force a rebuild under contention
-        packs = [None] * 8
+        graph.add_min_constraint(graph.source, graph.sink, 0)  # fresh version
+        views = [None] * 8
 
         def work(i):
-            delays, epack = graph.packed()
-            packs[i] = (list(delays), list(epack))
+            views[i] = (graph.edges(), graph.vertices(), graph.packed())
 
         _hammer(8, work)
-        assert all(pack == packs[0] for pack in packs)
-        assert len(packs[0][1]) == 4 * len(graph.edges())
+        edges, vertices, (delays, records) = views[0]
+        assert all(view == views[0] for view in views)
+        assert len(records) == 4 * len(edges)
+        assert len(delays) == len(vertices)

@@ -56,6 +56,33 @@ class TestRoundTrip:
         cache = ScheduleCache(path)
         assert cache.get(first["key"])["iterations"] == 7
 
+    def test_directory_is_made_once(self, tmp_path, monkeypatch):
+        """Flushes make the backing file's directory on the first write
+        only; a directory removed later is a swallowed write error."""
+        from pathlib import Path
+
+        made = []
+        real_mkdir = Path.mkdir
+
+        def counting_mkdir(self, *args, **kwargs):
+            made.append(self)
+            return real_mkdir(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", counting_mkdir)
+        path = tmp_path / "nested" / "cache.jsonl"
+        cache = ScheduleCache(path)
+        for i in range(3):
+            cache.put(f"{i:02d}" * 32, 3, [0], [[-1], [0], [4]], 1)
+            assert cache.flush() == 1
+        assert made == [path.parent]
+        assert len(ScheduleCache(path)) == 3
+        path.unlink()
+        path.parent.rmdir()
+        cache.put("ff" * 32, 3, [0], [[-1], [0], [4]], 1)
+        assert cache.flush() == 0
+        assert made == [path.parent]
+        assert cache.get("ff" * 32) is not None
+
     def test_flush_failure_degrades_to_memory(self, tmp_path):
         # A directory at the file path makes the append fail; the entry
         # must still be served from memory and flush must report 0.

@@ -93,16 +93,12 @@ class TestCheckWellPosed:
         anchor_sets = find_anchor_sets(fig3b_graph)
         assert not (anchor_sets["vj"] <= anchor_sets["vi"])
 
-    def test_scalar_gate_agrees_with_indexed_path(self):
-        # check_well_posed runs fused scalar sweeps below _SCALAR_GATE_N
-        # and the indexed kernel above; both must return the identical
-        # verdict for the same structure.  Replicate one structure at
-        # sizes straddling the gate.
-        from repro.core.wellposed import _SCALAR_GATE_N, _scalar_verdict
+    def test_verdict_is_the_same_across_the_numpy_gate(self):
+        # One structure replicated at sizes on both sides of the
+        # kernel's 64-vertex numpy gates gets one verdict.
+        from repro.core.indexed import _NUMPY_MIN_N
 
-        for n_pad, expected in (
-                (2, WellPosedness.WELL_POSED),
-                (_SCALAR_GATE_N + 8, WellPosedness.WELL_POSED)):
+        for n_pad in (2, _NUMPY_MIN_N + 8):
             g = ConstraintGraph(source="s", sink="t")
             g.add_operation("a", UNBOUNDED)
             g.add_sequencing_edge("s", "a")
@@ -113,21 +109,7 @@ class TestCheckWellPosed:
                 previous = f"v{i}"
             g.add_sequencing_edge(previous, "t")
             g.add_max_constraint("v0", "v1", 6)
-            assert check_well_posed(g.copy()) is expected
-            assert _scalar_verdict(g.copy()) is expected
-
-    def test_scalar_verdict_matches_all_three_classes(
-            self, fig2_graph, fig3a_graph):
-        from repro.core.wellposed import _scalar_verdict
-
-        assert _scalar_verdict(fig2_graph) is WellPosedness.WELL_POSED
-        assert _scalar_verdict(fig3a_graph) is WellPosedness.ILL_POSED
-        g = ConstraintGraph(source="s", sink="t")
-        g.add_operation("x", 4)
-        g.add_operation("y", 1)
-        g.add_sequencing_edges([("s", "x"), ("x", "y"), ("y", "t")])
-        g.add_max_constraint("x", "y", 2)
-        assert _scalar_verdict(g) is WellPosedness.UNFEASIBLE
+            assert check_well_posed(g.copy()) is WellPosedness.WELL_POSED
 
 
 class TestCanBeMadeWellPosed:

@@ -351,6 +351,21 @@ class TestParser:
         assert capsys.readouterr().err == \
             "error: schedule document lacks 'offsets'\n"
 
+    @pytest.mark.parametrize("command", ["schedule", "check", "lint"])
+    @pytest.mark.parametrize("header, message", [
+        ({"kind": "relative_schedule", "version": 99},
+         "document version 99 is newer than this library supports (1)"),
+        ({"kind": "bogus"}, "unknown document kind 'bogus'"),
+        ({"kind": "relative_schedule", "version": "2"},
+         "document version must be an integer, got '2'"),
+    ], ids=["newer-version", "unknown-kind", "string-version"])
+    def test_bad_document_header_is_an_error_line(self, tmp_path, capsys,
+                                                  command, header, message):
+        path = tmp_path / "bad-header.json"
+        path.write_text(json.dumps(header))
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestScheduleMany:
     @pytest.fixture

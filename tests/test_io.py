@@ -264,8 +264,18 @@ class TestDispatchAndFiles:
                                             "RelativeSchedule", "Design")
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown document kind"):
+        with pytest.raises(MalformedInputError, match="unknown document kind"):
             from_dict({"kind": "netlist"})
+
+    @pytest.mark.parametrize("header, message", [
+        ({"kind": "relative_schedule", "version": 99}, "version 99 is newer"),
+        ({"kind": "relative_schedule", "version": "2"},
+         "version must be an integer, got '2'"),
+        ({"kind": ["bogus"]}, "unknown document kind"),
+    ], ids=["newer-version", "string-version", "unhashable-kind"])
+    def test_bad_header_is_malformed(self, header, message):
+        with pytest.raises(MalformedInputError, match=message):
+            from_dict(header)
 
     def test_unserializable_type(self):
         with pytest.raises(TypeError):
