@@ -7,12 +7,12 @@ fires a mixed corpus of serialized graphs at ``/schedule`` from
 concurrent client threads, and reports requests/sec and latency
 percentiles for two phases:
 
-* **cold** -- first pass over the corpus: every request schedules for
-  real (analysis caches empty, persistent cache empty);
-* **warm** -- repeated passes over the same corpus: the shared
-  :class:`~repro.core.resultcache.ScheduleCache` answers from canonical
-  keys, so these numbers measure the service overhead (HTTP parse,
-  dispatch, pool hop, batcher, serialization) more than the scheduler.
+* **cold** -- first pass over the corpus, in a freshly started server;
+* **warm** -- repeated passes over the same corpus.  Every request
+  still decodes and solves its graph (``/schedule`` has no result
+  cache; the configured one serves ``/schedule_many`` only and reads
+  zero hits here), so these numbers are HTTP parse, admission,
+  decode, the per-graph kernel and serialization.
 
 The **direct** baseline times ``schedule_graph(anchor_mode=FULL)`` on
 the same graphs in the same process -- the warm service p50 over it is
@@ -117,8 +117,8 @@ def bench_service(quick=False, workers=4):
     corpus = make_corpus(recipe["n_graphs"], recipe["n_lo"], recipe["n_hi"])
     payloads = [graph_to_dict(g) for g in corpus]
 
-    # Direct baseline first (no server running): FULL mode, the mode the
-    # coalesced service path answers in.
+    # Direct baseline first (no server running): FULL mode, the mode
+    # /schedule answers in by default.
     direct_cold = []
     for graph in corpus:
         fresh = graph.copy()
@@ -135,8 +135,7 @@ def bench_service(quick=False, workers=4):
     with tempfile.TemporaryDirectory() as tmp:
         server = ServiceServer(ServiceConfig(
             port=0, workers=workers,
-            cache_path=str(Path(tmp) / "bench_cache.jsonl"),
-            batch_window_ms=1.0))
+            cache_path=str(Path(tmp) / "bench_cache.jsonl")))
         thread = threading.Thread(target=server.serve_forever,
                                   kwargs={"poll_interval": 0.05},
                                   daemon=True)
@@ -183,7 +182,6 @@ def bench_service(quick=False, workers=4):
             "warm_p50_ms": percentile(direct_warm, 0.50),
         },
         "server_stats": {
-            "batching": stats.get("batching"),
             "cache": stats.get("cache"),
         },
     }

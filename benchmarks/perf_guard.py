@@ -367,10 +367,8 @@ def guard_service(factor):
 
     workers = 4
     with tempfile.TemporaryDirectory() as tmp:
-        # window 0: a serial client gains nothing from lingering, and
-        # the gate should not charge the service for an idle wait.
         server = ServiceServer(ServiceConfig(
-            port=0, workers=workers, batch_window_ms=0.0,
+            port=0, workers=workers,
             cache_path=str(Path(tmp) / "guard_cache.jsonl")))
         print(f"  service: {server.pool.workers} workers "
               f"(configured {workers}; never silently capped), "

@@ -11,8 +11,8 @@ process to shut down with SIGINT and verifies it exits cleanly (code 0)
 with its persistent cache flushed to disk.
 
 Every ``/schedule`` response is checked bit-identical to a serial
-``schedule_graph(anchor_mode=FULL)`` run computed up front, so the
-smoke also re-proves the batch-consistency contract over the wire.
+``schedule_graph(anchor_mode=FULL)`` run computed up front; the cache
+it checks on shutdown is filled by the ``/schedule_many`` requests.
 
 Usage::
 

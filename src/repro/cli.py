@@ -720,8 +720,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     config = ServiceConfig(
         host=args.host, port=args.port, workers=args.workers,
         queue_capacity=args.queue_capacity,
-        batching=not args.no_batch,
-        batch_window_ms=args.batch_window_ms,
         cache_path=args.cache,
         default_budget=_parse_budget(getattr(args, "budget", None)),
         tenant_budgets=tenant_budgets,
@@ -998,19 +996,15 @@ def build_parser() -> argparse.ArgumentParser:
                      help="bind port; 0 picks an ephemeral port "
                           "(default 8080)")
     srv.add_argument("--workers", type=int, default=4,
-                     help="worker-pool size -- the real scheduling "
+                     help="requests worked on at once, each on its own "
+                          "connection thread -- the real scheduling "
                           "concurrency, logged at startup (default 4)")
     srv.add_argument("--queue-capacity", type=int, default=None,
-                     help="pending-job bound; a full queue answers 503 "
-                          "(default 8x workers)")
-    srv.add_argument("--no-batch", action="store_true",
-                     help="disable request coalescing into the batched "
-                          "kernel")
-    srv.add_argument("--batch-window-ms", type=float, default=2.0,
-                     help="coalescing window for /schedule (default 2.0)")
+                     help="requests that may wait for a worker slot; "
+                          "one more answers 503 (default 8x workers)")
     srv.add_argument("--cache", metavar="FILE",
-                     help="persistent schedule cache shared by /schedule "
-                          "and /schedule_many")
+                     help="persistent schedule cache for /schedule_many "
+                          "(/schedule always solves)")
     srv.add_argument("--tenant-budget", action="append", metavar="NAME=SPEC",
                      help="per-tenant budget override, e.g. "
                           "ci=vertices=500,edges=4000 (repeatable; "

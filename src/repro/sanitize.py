@@ -2,7 +2,7 @@
 
 The service stack holds a small, fixed set of in-process locks -- the
 per-graph analysis-cache ``RLock``, the schedule-cache and journal
-locks, the session table, the batcher condition, the stats lock -- and
+locks, the session table, the admission gate, the stats lock -- and
 PRs 7-9 each shipped a concurrency bug in their interplay that was only
 found late.  This module makes the lock discipline *checkable*: every
 named lock site is built through :func:`make_lock` /

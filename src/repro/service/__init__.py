@@ -2,14 +2,12 @@
 
 The service stack, bottom up:
 
-* :mod:`repro.service.pool` -- a bounded worker pool; connections are
-  cheap, scheduling work is admitted (:class:`PoolSaturatedError`
-  -> HTTP 503);
-* :mod:`repro.service.batcher` -- leader/follower coalescing of
-  concurrent ``/schedule`` requests into one
-  :func:`~repro.core.batch.schedule_many` arena sweep;
+* :mod:`repro.service.pool` -- the admission gate; connections are
+  cheap, and each connection thread runs its own request once one of
+  ``workers`` slots is free (a full wait queue -> HTTP 503);
 * :mod:`repro.service.app` -- transport-agnostic dispatch: endpoints,
-  budgets, the error contract;
+  budgets, the error contract; ``/schedule`` is one per-graph kernel
+  call, ``/schedule_many`` one arena sweep behind the result cache;
 * :mod:`repro.service.sessions` -- the bounded table of durable
   executor sessions (journaled ``/sessions`` streams with idempotent
   replay and crash recovery);
@@ -27,7 +25,6 @@ from repro.service.app import (
     ServiceConfig,
     ServiceError,
 )
-from repro.service.batcher import CoalescingBatcher
 from repro.service.client import ServiceClient
 from repro.service.pool import (
     JobTimeoutError,
@@ -40,7 +37,6 @@ from repro.service.sessions import Session, SessionSealedError, SessionTable
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "CoalescingBatcher",
     "JobTimeoutError",
     "PoolSaturatedError",
     "PoolShutdownError",

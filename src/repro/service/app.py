@@ -26,6 +26,8 @@ unknown endpoint          404     routing
 wrong method              405     routing
 body too large            413     ``max_body_bytes``
 pool saturated            503     :class:`~repro.service.pool.PoolSaturatedError`
+draining                  503     pool shut down, session admission closed
+no slot in time           504     :class:`~repro.service.pool.JobTimeoutError`
 ========================  ======  =========================================
 
 Admission control happens *before* scheduling work: the per-tenant
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import nullcontext
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.sanitize import make_lock
@@ -57,7 +60,6 @@ from repro.resilience.guard import (
     guarded_schedule,
     untrusted_graph_from_dict,
 )
-from repro.service.batcher import CoalescingBatcher
 from repro.service.sessions import (
     Session,
     SessionSealedError,
@@ -103,20 +105,23 @@ class ServiceConfig:
 
     Args:
         host/port: bind address (port 0 -> ephemeral, see server).
-        workers: worker-pool size; this is the real concurrency and is
-            logged at startup, never silently capped.
-        queue_capacity: pending-job bound (None -> ``8 * workers``).
-        batch_window_ms: coalescing window for ``/schedule`` (0 still
-            coalesces simultaneous arrivals; ``batching=False`` turns
-            the batcher off entirely).
-        max_batch: coalescing flush threshold.
-        cache_path: optional persistent schedule-cache JSONL shared by
-            the batcher and ``/schedule_many``.
+        workers: scheduling slots: at most this many requests run at
+            once (on their own connection threads); logged at startup,
+            never silently capped.
+        queue_capacity: requests that may wait for a slot (None ->
+            ``8 * workers``); one more answers 503.
+        batching: only ``False`` is accepted.  The request-coalescing
+            batcher is gone: ``/schedule`` always runs the per-graph
+            kernel.
+        cache_path: optional persistent schedule-cache JSONL used by
+            ``/schedule_many``.
         default_budget: per-request admission budget when the tenant
             has no specific one.
         tenant_budgets: per-tenant overrides keyed by ``X-Tenant``.
         max_body_bytes: request-body cap (HTTP 413 above it).
-        request_timeout_s: how long a handler waits for its pool job.
+        request_timeout_s: how long a request waits for a slot (HTTP
+            504 beyond it; a running request is bounded by its budget's
+            ``deadline_s`` instead).
         journal_dir: directory for per-session write-ahead journals;
             None -> sessions are in-memory only (not crash-recoverable).
         session_cap: most sessions resident at once (LRU beyond it are
@@ -131,9 +136,7 @@ class ServiceConfig:
     def __init__(self, *, host: str = "127.0.0.1", port: int = 8080,
                  workers: int = 4,
                  queue_capacity: Optional[int] = None,
-                 batching: bool = True,
-                 batch_window_ms: float = 2.0,
-                 max_batch: int = 64,
+                 batching: bool = False,
                  cache_path: Optional[str] = None,
                  default_budget: Optional[RunBudget] = None,
                  tenant_budgets: Optional[Mapping[str, RunBudget]] = None,
@@ -144,13 +147,13 @@ class ServiceConfig:
                  session_ttl_s: float = 3600.0,
                  journal_fsync: str = "always",
                  max_session_events: int = MAX_SESSION_EVENTS) -> None:
+        if batching:
+            raise ValueError("batching was removed: /schedule always runs "
+                             "the per-graph kernel")
         self.host = host
         self.port = port
         self.workers = workers
         self.queue_capacity = queue_capacity
-        self.batching = batching
-        self.batch_window_ms = batch_window_ms
-        self.max_batch = max_batch
         self.cache_path = cache_path
         self.default_budget = default_budget
         self.tenant_budgets = dict(tenant_budgets or {})
@@ -212,18 +215,13 @@ class ServiceStats:
 
 
 class SchedulingService:
-    """Dispatches decoded requests; owns the cache, batcher and stats."""
+    """Dispatches decoded requests; owns the cache, sessions and stats."""
 
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
         self.config = config or ServiceConfig()
         self.cache: Optional[ScheduleCache] = (
             ScheduleCache(self.config.cache_path)
             if self.config.cache_path else None)
-        self.batcher: Optional[CoalescingBatcher] = (
-            CoalescingBatcher(window_s=self.config.batch_window_ms / 1e3,
-                              max_batch=self.config.max_batch,
-                              cache=self.cache)
-            if self.config.batching else None)
         self.stats = ServiceStats()
         self.sessions = SessionTable(
             journal_dir=self.config.journal_dir,
@@ -318,40 +316,25 @@ class SchedulingService:
 
     def handle_schedule(self, payload: Any,
                         tenant: Optional[str]) -> Dict[str, Any]:
-        """One graph in, one schedule out (coalesced when possible)."""
+        """One graph in, one schedule out, on the request's own thread.
+
+        ``guarded_schedule`` admits the graph (size, iteration bound)
+        before any analysis and runs it under the tenant's deadline.
+        There is no result cache here: on request-sized graphs the
+        canonical key costs more than the solve it would save.
+        """
         payload = _object(payload)
         budget = self.config.budget_for(tenant)
         graph = untrusted_graph_from_dict(payload.get("graph"), budget)
-        if budget is not None:  # admission: refuse before any analysis
-            budget.check_size(graph)
-            budget.check_iteration_bound(graph)
         mode = _anchor_mode(payload.get("mode", "full"))
         auto_well_pose = _flag(payload, "auto_well_pose", True)
 
         tracer = Tracer() if _flag(payload, "trace", False) else None
         t0 = time.perf_counter()
-        # Traced requests bypass the batcher: the point of trace=True is
-        # telemetry for *this* request, not a shared arena sweep.  So do
-        # requests with a deadline: one coalesced sweep serves several
-        # tenants and runs under none of their budgets.
-        batched = (self.batcher is not None and mode is AnchorMode.FULL
-                   and auto_well_pose and tracer is None
-                   and (budget is None or budget.deadline_s is None))
-        if batched:
-            # FULL mode comes back bit-identical from the arena sweep
-            # (PR-6 batch_consistency invariant), so coalescing is safe.
-            schedule = self.batcher.schedule(graph)
-        elif tracer is not None:
-            with use_tracer(tracer):
-                schedule = guarded_schedule(graph, budget, anchor_mode=mode,
-                                            auto_well_pose=auto_well_pose)
-        else:
+        with use_tracer(tracer) if tracer is not None else nullcontext():
             schedule = guarded_schedule(graph, budget, anchor_mode=mode,
                                         auto_well_pose=auto_well_pose)
-        body: Dict[str, Any] = {
-            "schedule": schedule_to_dict(schedule),
-            "batched": batched,
-        }
+        body: Dict[str, Any] = {"schedule": schedule_to_dict(schedule)}
         if tracer is not None:
             body["telemetry"] = {
                 "duration_ms": round((time.perf_counter() - t0) * 1e3, 3),
@@ -488,8 +471,8 @@ class SchedulingService:
                        tenant: Optional[str]) -> Dict[str, Any]:
         """Online execution: graph + completion-event stream -> issue log.
 
-        The graph is scheduled (through the shared batcher-free guarded
-        pipeline, honoring the tenant budget), then the event list is
+        The graph is scheduled (through the guarded pipeline, honoring
+        the tenant budget), then the event list is
         streamed through an :class:`~repro.runtime.OnlineExecutor`.
         Watchdog timeouts follow the error contract: an ABORT surfaces
         as 422 with ``WatchdogTimeoutError``, FALLBACK degradation comes
@@ -768,8 +751,6 @@ class SchedulingService:
         body = self.stats.snapshot()
         body["protocol"] = PROTOCOL_VERSION
         body["workers"] = self.config.workers
-        if self.batcher is not None:
-            body["batching"] = self.batcher.stats()
         if self.cache is not None:
             body["cache"] = {"entries": len(self.cache),
                              "hits": self.cache.hits,

@@ -1,5 +1,8 @@
 """Request coalescing: concurrent ``/schedule`` calls -> one arena sweep.
 
+Unused by the service since ``/schedule`` went to the per-graph kernel
+(DESIGN.md section 12); kept while ``perfbench/traced_serve.py`` wraps it.
+
 The batched kernel (:func:`repro.core.batch.schedule_many`) amortizes
 its fixed numpy dispatch cost over a whole corpus, but an HTTP service
 receives graphs one request at a time.  The batcher closes that gap

@@ -1,13 +1,15 @@
 """The HTTP front of the scheduling service (stdlib only).
 
 ``ThreadingHTTPServer`` accepts connections on per-connection threads,
-but those threads never schedule anything themselves: every POST body
-is decoded on the handler thread and then dispatched through the
-bounded :class:`~repro.service.pool.WorkerPool`, so the number of
-graphs being scheduled at once is exactly ``config.workers`` no matter
-how many sockets are open.  GET endpoints (``/healthz``, ``/stats``)
-bypass the pool -- they must answer even when the pool is saturated,
-or the health check would report the overload it is supposed to survive.
+and each thread does its own request's work: it decodes the body, then
+runs the dispatch itself once the admission gate
+(:class:`~repro.service.pool.WorkerPool`) grants one of
+``config.workers`` slots.  So the number of requests being worked on at
+once is at most ``config.workers`` no matter how many sockets are open,
+and no request is handed to another thread and back.  GET endpoints
+(``/healthz``, ``/stats``) bypass the gate -- they must answer even
+when every slot is taken, or the health check would report the
+overload it is supposed to survive.
 
 Transport-level failures map onto the same error contract the
 dispatcher uses:
@@ -15,8 +17,8 @@ dispatcher uses:
 * unparsable / non-UTF-8 body -> 400,
 * body over ``max_body_bytes`` -> 413 (checked against Content-Length
   *before* reading, so an oversized upload costs one header read),
-* saturated pool -> 503 with a ``Retry-After`` hint,
-* pool job timeout -> 504.
+* saturated gate or a drained one -> 503 with a ``Retry-After`` hint,
+* no slot within ``request_timeout_s`` -> 504.
 
 Startup logs the *actual* worker count and queue bound -- the
 configuration is never silently capped, per the scaling rules.
@@ -33,15 +35,23 @@ from typing import Any, Optional, Tuple
 
 from repro.sanitize import make_lock
 from repro.service.app import SchedulingService, ServiceConfig
-from repro.service.pool import JobTimeoutError, PoolSaturatedError, WorkerPool
+from repro.service.pool import (
+    JobTimeoutError,
+    PoolSaturatedError,
+    PoolShutdownError,
+    WorkerPool,
+)
 
 LOGGER = logging.getLogger("repro.service")
 
 
 class ServiceServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer that owns the service core and worker pool."""
+    """ThreadingHTTPServer that owns the service core and admission gate."""
 
     daemon_threads = True
+    # listen() backlog.  socketserver's default of 5 drops the SYNs of
+    # a burst of connecting clients, and each retries a second later.
+    request_queue_size = 128
 
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
         self.config = config or ServiceConfig()
@@ -53,17 +63,16 @@ class ServiceServer(ThreadingHTTPServer):
         # Port 0 binds an ephemeral port; expose what we actually got.
         self.port = self.server_address[1]
         LOGGER.info(
-            "scheduling service on %s:%d -- %d workers, queue bound %d, "
-            "batching %s",
+            "scheduling service on %s:%d -- %d workers, queue bound %d",
             self.config.host, self.port, self.pool.workers,
-            self.pool.queue_capacity,
-            "on" if self.service.batcher is not None else "off")
+            self.pool.queue_capacity)
         if self.config.journal_dir is not None:
             LOGGER.info(
                 "session journals in %s -- %d session(s) recovered",
                 self.config.journal_dir, self.service.recovered_sessions)
-        # io_ok: shutdown closes sockets and drains the pool while
-        # held -- teardown-only, declared in the sanitizer policy.
+        # io_ok: shutdown closes sockets and waits for admitted
+        # requests while held -- teardown-only, declared in the
+        # sanitizer policy.
         self._down = make_lock("server.down", io_ok=True)
 
     def shutdown(self) -> None:
@@ -77,8 +86,9 @@ class ServiceServer(ThreadingHTTPServer):
     def drain(self) -> None:
         """Graceful drain (the SIGTERM path): stop session admission
         (503 + Retry-After), then stop accepting connections, finish
-        queued work, and fsync every journal -- in that order, so a
-        kill arriving mid-drain loses nothing acknowledged.
+        admitted requests (later ones on open connections answer 503),
+        and fsync every journal -- in that order, so a kill arriving
+        mid-drain loses nothing acknowledged.
 
         Must not run on the ``serve_forever`` thread (``shutdown``
         would deadlock there); the signal handler spawns a thread.
@@ -88,7 +98,7 @@ class ServiceServer(ThreadingHTTPServer):
 
 
 class _ServiceHandler(BaseHTTPRequestHandler):
-    """One request: read, decode, dispatch through the pool, respond."""
+    """One request: read, decode, dispatch behind the gate, respond."""
 
     protocol_version = "HTTP/1.1"
     # Responses are written as two small segments (headers, body);
@@ -152,8 +162,8 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     def do_GET(self) -> None:
         path = self.path.split("?", 1)[0]
-        # Health and stats answer on the handler thread: they must work
-        # while the pool is saturated.
+        # Health and stats skip the gate: they must answer while every
+        # slot is taken.
         status, body = self.server.service.dispatch("GET", path, None)
         self._respond_dispatch(status, body)
 
@@ -166,7 +176,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     def do_DELETE(self) -> None:
         # DELETE bodies are ignored (none of the endpoints take one);
-        # the verb mutates state, so it goes through the pool like POST.
+        # the verb mutates state, so it goes through the gate like POST.
         self._pooled_dispatch("DELETE", self.path.split("?", 1)[0], None)
 
     def _pooled_dispatch(self, method: str, path: str,
@@ -177,15 +187,12 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             status, body = self.server.pool.run(
                 lambda: service.dispatch(method, path, payload, tenant),
                 timeout=self.server.config.request_timeout_s)
-        except PoolSaturatedError as error:
-            self._respond(503, {"error": str(error),
-                                "error_type": "PoolSaturatedError"},
-                          extra_headers=(("Retry-After", "1"),))
-            return
+        except (PoolSaturatedError, PoolShutdownError) as error:
+            status, body = 503, {"error": str(error),
+                                 "error_type": type(error).__name__}
         except JobTimeoutError as error:
-            self._respond(504, {"error": str(error),
-                                "error_type": "JobTimeoutError"})
-            return
+            status, body = 504, {"error": str(error),
+                                 "error_type": "JobTimeoutError"}
         self._respond_dispatch(status, body)
 
 
@@ -206,7 +213,7 @@ def serve(config: Optional[ServiceConfig] = None, *,
         ready.set()
     try:
         # SIGTERM -> graceful drain: refuse new session work with
-        # 503 + Retry-After, stop the acceptor, finish queued jobs,
+        # 503 + Retry-After, stop the acceptor, finish admitted requests,
         # fsync every journal, exit 0.  The handler must hand the
         # actual shutdown to another thread -- calling it from the
         # serve_forever thread would deadlock.

@@ -12,8 +12,8 @@ the topological order are per-version views of that store.  Pinned here:
 * freshness -- views built before a mutation never leak into the next
   version;
 * hot path -- decode, schedule and encode build no Vertex or Edge on
-  the two ``/schedule`` paths (``guarded_schedule``; ``schedule_many``
-  then ``unpack``);
+  the two service scheduling paths (``/schedule``: ``guarded_schedule``;
+  ``/schedule_many``: ``schedule_many`` then ``unpack``);
 * memory -- a ceiling on the bytes of a batch corpus and of its copies.
 """
 

@@ -1,31 +1,39 @@
 """Concurrency correctness: the service under parallel fire.
 
 The load-bearing test is the differential one: N client threads push a
-mixed corpus through a live server (coalescing enabled, small pool) and
+mixed corpus through a live server (few slots, cache configured) and
 every response must be *bit-identical* to a serial
 ``schedule_graph(anchor_mode=FULL)`` run of the same graph -- the
-batcher, the worker pool, the shared cache and the contextvar tracer
-must all be invisible to results.
+admission gate and the contextvar tracer must be invisible to results.
 """
 
+import contextvars
+import http.client
+import json
 import random
+import sys
 import threading
+import time
 
 import pytest
 
 from repro.core.anchors import AnchorMode
+from repro.core.exceptions import ConstraintGraphError
 from repro.core.scheduler import schedule_graph
 from repro.designs.random_graphs import random_constraint_graph
 from repro.io import schedule_to_dict
 from repro.qa.serialize import graph_to_dict
 from repro.service import (
-    CoalescingBatcher,
+    JobTimeoutError,
     PoolSaturatedError,
+    SchedulingService,
     ServiceClient,
+    ServiceConfig,
     WorkerPool,
 )
+from repro.service.batcher import CoalescingBatcher
 
-from tests.service.test_endpoints import make_server, stop_server
+from tests.service.test_endpoints import make_server, occupy, stop_server
 
 
 def mixed_corpus(n_graphs, seed):
@@ -86,52 +94,63 @@ class TestDifferential:
             workers=2, cache_path=str(tmp_path / "cache.jsonl"))
         try:
             with ServiceClient(port=server.port) as client:
-                first = client.schedule(payload)
-                repeats = [client.schedule(payload) for _ in range(5)]
+                first = client.schedule_many([payload])
+                repeats = [client.schedule_many([payload])
+                           for _ in range(5)]
                 _, stats = client.stats()
         finally:
             stop_server(server, thread)
         assert first[0] == 200
         assert all(status == 200 for status, _ in repeats)
-        schedules = {tuple(sorted(body["schedule"]["offsets"]))
+        schedules = {tuple(sorted(body["results"][0]["schedule"]["offsets"]))
                      for _, body in [first] + repeats}
         assert len(schedules) == 1
         assert stats["cache"]["hits"] >= 1
 
 
+class TestDirectPath:
+    def test_schedule_never_reaches_schedule_many(self, monkeypatch,
+                                                  tmp_path):
+        def arena(*args, **kwargs):
+            raise AssertionError("/schedule reached schedule_many")
+
+        for module in ("repro.core.batch", "repro.service.app",
+                       "repro.service.batcher"):
+            monkeypatch.setattr(f"{module}.schedule_many", arena)
+        service = SchedulingService(ServiceConfig(
+            cache_path=str(tmp_path / "cache.jsonl")))
+        for graph in mixed_corpus(24, seed=2020):
+            payload = {"graph": graph_to_dict(graph)}
+            status, body = service.dispatch("POST", "/schedule", payload)
+            try:
+                expected = schedule_graph(graph, anchor_mode=AnchorMode.FULL)
+            except ConstraintGraphError as error:
+                assert (status, body["error_type"]) == (
+                    422, type(error).__name__)
+                continue
+            assert status == 200, body
+            assert body["schedule"]["offsets"] == \
+                schedule_to_dict(expected)["offsets"]
+
+
 class TestAdmission:
     def test_saturated_pool_answers_503(self):
-        # One worker, a one-slot queue, and a blocking job: the next
-        # submissions must be refused, not queued without bound.
+        # One worker, a one-place queue, both taken: the next request
+        # must be refused, not queued without bound.
         pool = WorkerPool(workers=1, queue_capacity=1)
         release = threading.Event()
-        started = threading.Event()
-
-        def block():
-            started.set()
-            release.wait(30)
-
-        blocker = pool.submit(block)
-        assert started.wait(10)
-        pool.submit(lambda: None)  # fills the single queue slot
+        parked = occupy(pool, release)
         with pytest.raises(PoolSaturatedError):
-            pool.submit(lambda: None)
+            pool.run(lambda: None)
         release.set()
-        blocker.wait(10)
+        for thread in parked:
+            thread.join(10)
         pool.shutdown()
 
     def test_health_answers_while_pool_is_saturated(self):
         server, thread = make_server(workers=1, queue_capacity=1)
         release = threading.Event()
-        started = threading.Event()
-
-        def block():
-            started.set()
-            release.wait(30)
-
-        job = server.pool.submit(block)
-        assert started.wait(10)
-        server.pool.submit(lambda: None)
+        parked = occupy(server.pool, release)
         try:
             with ServiceClient(port=server.port, timeout=10) as client:
                 status, body = client.healthz()
@@ -141,7 +160,158 @@ class TestAdmission:
                 assert body["error_type"] == "PoolSaturatedError"
         finally:
             release.set()
-            job.wait(10)
+            for parked_thread in parked:
+                parked_thread.join(10)
+            stop_server(server, thread)
+
+    def test_stress_admits_at_most_the_bound(self):
+        workers, capacity = 3, 2
+        pool = WorkerPool(workers=workers, queue_capacity=capacity)
+        lock = threading.Lock()
+        running = [0, 0]  # now, peak
+        ran, returned, refused = [], [], []
+
+        def job(ident):
+            with lock:
+                running[0] += 1
+                running[1] = max(running[1], running[0])
+                ran.append(ident)
+            time.sleep(0.0005)
+            with lock:
+                running[0] -= 1
+            return ident
+
+        def hammer(ident_prefix, calls):
+            for k in range(calls):
+                ident = (*ident_prefix, k)
+                try:
+                    returned.append(pool.run(lambda ident=ident: job(ident),
+                                             timeout=30))
+                except PoolSaturatedError:
+                    refused.append(ident)
+
+        def phase(name, n_threads, calls):
+            threads = [threading.Thread(target=hammer,
+                                        args=((name, i), calls))
+                       for i in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            return n_threads * calls
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            # At the bound nobody is refused; past it the gate refuses.
+            calls = phase("at", workers + capacity, 40)
+            assert refused == []
+            calls += phase("past", 4 * (workers + capacity), 40)
+        finally:
+            sys.setswitchinterval(interval)
+        assert refused
+        assert running[1] <= workers
+        assert len(ran) == len(set(ran))  # no admitted job ran twice
+        assert sorted(ran) == sorted(returned)  # ... and every one ran
+        assert len(ran) + len(refused) == calls
+        assert (pool.running, pool.waiting) == (0, 0)
+
+    def test_waiters_get_slots_in_arrival_order_or_time_out(self):
+        pool = WorkerPool(workers=1, queue_capacity=3)
+        release = threading.Event()
+        started = threading.Event()
+
+        def block():
+            started.set()
+            release.wait(30)
+
+        parked = [threading.Thread(target=pool.run, args=(block,))]
+        parked[0].start()
+        assert started.wait(10)
+        with pytest.raises(JobTimeoutError):
+            pool.run(lambda: None, timeout=0.01)
+        assert pool.waiting == 0  # the timed-out caller left the queue
+        order = []
+        for index in range(3):
+            parked.append(threading.Thread(
+                target=pool.run, args=(lambda i=index: order.append(i),)))
+            parked[-1].start()
+            deadline = time.monotonic() + 10
+            while pool.waiting < index + 1:
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+        release.set()
+        for thread in parked:
+            thread.join(10)
+        assert order == [0, 1, 2]
+        assert (pool.running, pool.waiting) == (0, 0)
+
+    def test_jobs_run_on_the_caller_thread_in_a_copied_context(self):
+        pool = WorkerPool(workers=1)
+        tag = contextvars.ContextVar("tag", default=None)
+
+        def first():
+            seen = tag.get()
+            tag.set("job")
+            return seen, tag.get()
+
+        token = tag.set("caller")
+        try:
+            assert pool.run(threading.get_ident) == threading.get_ident()
+            assert pool.run(first) == ("caller", "job")
+            # The next request on this thread starts from the caller's
+            # context, not from what the previous job left behind.
+            assert pool.run(tag.get) == "caller"
+            assert tag.get() == "caller"
+        finally:
+            tag.reset(token)
+
+    def test_a_burst_of_connections_is_accepted_at_once(self):
+        server, thread = make_server()
+        worst = []
+
+        def connect(barrier, times):
+            barrier.wait()
+            t0 = time.perf_counter()
+            with ServiceClient(port=server.port, timeout=10) as client:
+                status, _ = client.healthz()
+            times.append((status, time.perf_counter() - t0))
+
+        try:
+            for _ in range(3):
+                barrier, times = threading.Barrier(32), []
+                threads = [threading.Thread(target=connect,
+                                            args=(barrier, times))
+                           for _ in range(32)]
+                for burst_thread in threads:
+                    burst_thread.start()
+                for burst_thread in threads:
+                    burst_thread.join(30)
+                assert [status for status, _ in times] == [200] * 32
+                worst.append(max(seconds for _, seconds in times))
+        finally:
+            stop_server(server, thread)
+        # A dropped SYN is retried after 1 s; none may be dropped.
+        assert max(worst) < 0.9, worst
+
+    def test_post_after_shutdown_answers_503_with_retry_after(self):
+        server, thread = make_server()
+        conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                          timeout=10)
+        try:
+            conn.request("GET", "/healthz")
+            assert conn.getresponse().read()
+            server.pool.shutdown()  # what the drain does first
+            conn.request("POST", "/schedule", body=json.dumps({"graph": {}}),
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            body = json.loads(response.read())
+            assert response.status == 503
+            assert response.getheader("Retry-After") == "1"
+            assert body["error_type"] == "PoolShutdownError"
+        finally:
+            conn.close()
             stop_server(server, thread)
 
 

@@ -8,6 +8,7 @@ purpose-built configurations.
 
 import random
 import threading
+import time
 
 import pytest
 
@@ -20,11 +21,10 @@ from repro.io import schedule_to_dict
 from repro.qa.serialize import graph_to_dict
 from repro.resilience.guard import RunBudget
 from repro.service import ServiceClient, ServiceConfig, ServiceServer
-from repro.service.app import SchedulingService
 
 
 def make_server(**overrides):
-    defaults = {"port": 0, "workers": 2, "batch_window_ms": 1.0}
+    defaults = {"port": 0, "workers": 2}
     config = ServiceConfig(**{**defaults, **overrides})
     server = ServiceServer(config)
     thread = threading.Thread(target=server.serve_forever,
@@ -38,6 +38,52 @@ def stop_server(server, thread):
     server.server_close()
     thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+def occupy(pool, release):
+    """Take every place *pool* admits with threads parked in ``pool.run``:
+    ``workers`` jobs block on *release* and ``queue_capacity`` more wait
+    for a slot.  Returns the threads; they end once *release* is set."""
+    started = threading.Semaphore(0)
+
+    def block():
+        started.release()
+        release.wait(30)
+
+    def park(fn):
+        thread = threading.Thread(target=pool.run, args=(fn,), daemon=True)
+        thread.start()
+        return thread
+
+    threads = [park(block) for _ in range(pool.workers)]
+    for _ in range(pool.workers):
+        assert started.acquire(timeout=10)
+    threads += [park(lambda: None) for _ in range(pool.queue_capacity)]
+    deadline = time.monotonic() + 10
+    while pool.waiting < pool.queue_capacity:
+        assert time.monotonic() < deadline, "the waiters never queued"
+        time.sleep(0.001)
+    return threads
+
+
+class Saturated:
+    """A server whose one slot and one queue place are taken: every
+    pooled request answers 503 until drained."""
+
+    def __enter__(self):
+        self.server, self.thread = make_server(workers=1, queue_capacity=1)
+        self.release = threading.Event()
+        self.parked = occupy(self.server.pool, self.release)
+        return self
+
+    def drain(self):
+        self.release.set()
+        for thread in self.parked:
+            thread.join(10)
+
+    def __exit__(self, *exc):
+        self.drain()
+        stop_server(self.server, self.thread)
 
 
 @pytest.fixture(scope="module")
@@ -91,12 +137,11 @@ class TestRoundTrips:
         assert status == 200
         assert second["schedule"]["offsets"] == first["schedule"]["offsets"]
 
-    def test_schedule_explicit_mode_bypasses_batcher(self, client):
+    def test_schedule_explicit_mode(self, client):
         graph = pipeline_graph()
         status, body = client.schedule(graph_to_dict(graph),
                                        mode="irredundant")
         assert status == 200
-        assert body["batched"] is False
         expected = schedule_graph(graph,
                                   anchor_mode=AnchorMode.IRREDUNDANT)
         assert body["schedule"] == schedule_to_dict(expected)
@@ -105,7 +150,6 @@ class TestRoundTrips:
         status, body = client.schedule(graph_to_dict(pipeline_graph()),
                                        trace=True)
         assert status == 200
-        assert body["batched"] is False  # traced requests skip the batcher
         telemetry = body["telemetry"]
         assert telemetry["duration_ms"] >= 0
         assert telemetry["spans"] > 0
@@ -166,12 +210,12 @@ class TestRoundTrips:
         assert body["silent"] == 0
         assert "chaos campaign" in body["summary"]
 
-    def test_stats_reports_workers_and_batching(self, client):
+    def test_stats_reports_workers(self, client):
         client.healthz()
         status, body = client.stats()
         assert status == 200
         assert body["workers"] == 2
-        assert "batching" in body
+        assert "batching" not in body
         assert body["endpoints"]["/healthz"]["requests"] >= 1
         assert body["latency_ms"]["p50"] is not None
 
@@ -258,18 +302,6 @@ class TestErrorContract:
         assert status == 429
         assert body["error_type"] == "BudgetExceededError"
 
-    def test_tenant_deadline_holds_with_batching_on(self):
-        # One coalesced sweep serves several tenants, so a request with
-        # a deadline must not reach the batcher.
-        service = SchedulingService(ServiceConfig(
-            tenant_budgets={"t": RunBudget(deadline_s=1e-9)}))
-        assert service.batcher is not None
-        status, body = service.dispatch(
-            "POST", "/schedule", {"graph": graph_to_dict(pipeline_graph())},
-            tenant="t")
-        assert status == 429
-        assert body["error_type"] == "BudgetExceededError"
-
     def test_observe_runs_cap(self, client):
         status, body = client.observe(graph_to_dict(pipeline_graph()),
                                       runs=10**6)
@@ -294,6 +326,11 @@ class TestErrorContract:
             conn.close()
         finally:
             stop_server(small_server, thread)
+
+    def test_batching_can_no_longer_be_turned_on(self):
+        ServiceConfig(batching=False)
+        with pytest.raises(ValueError, match="batching was removed"):
+            ServiceConfig(batching=True)
 
 
 class TestShutdown:

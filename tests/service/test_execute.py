@@ -16,7 +16,7 @@ from repro.service.app import MAX_EXECUTE_EVENTS
 
 
 def make_server(**overrides):
-    defaults = {"port": 0, "workers": 2, "batch_window_ms": 1.0}
+    defaults = {"port": 0, "workers": 2}
     config = ServiceConfig(**{**defaults, **overrides})
     server = ServiceServer(config)
     thread = threading.Thread(target=server.serve_forever,

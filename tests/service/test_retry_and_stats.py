@@ -21,9 +21,11 @@ from repro.qa.serialize import graph_to_dict
 from repro.service import ServiceClient, ServiceConfig, ServiceServer
 from repro.service.app import ServiceStats
 
+from tests.service.test_endpoints import Saturated
+
 
 def make_server(**overrides):
-    defaults = {"port": 0, "workers": 1, "batch_window_ms": 1.0}
+    defaults = {"port": 0, "workers": 1}
     config = ServiceConfig(**{**defaults, **overrides})
     server = ServiceServer(config)
     thread = threading.Thread(target=server.serve_forever,
@@ -46,34 +48,6 @@ def tiny_graph():
     graph.add_sequencing_edge("io", "out")
     graph.make_polar()
     return graph
-
-
-class Saturated:
-    """A server whose single worker is blocked and whose one queue slot
-    is filled: every pooled request answers 503 until released."""
-
-    def __enter__(self):
-        self.server, self.thread = make_server(workers=1, queue_capacity=1)
-        self.release = threading.Event()
-        started = threading.Event()
-
-        def block():
-            started.set()
-            self.release.wait(30)
-
-        self.blocker = self.server.pool.submit(block)
-        assert started.wait(10)
-        self.filler = self.server.pool.submit(lambda: None)
-        return self
-
-    def drain(self):
-        self.release.set()
-        self.blocker.wait(10)
-        self.filler.wait(10)
-
-    def __exit__(self, *exc):
-        self.drain()
-        stop_server(self.server, self.thread)
 
 
 class TestUptimeMonotonic:
@@ -159,7 +133,7 @@ class TestRetryAgainstSaturatedPool:
                 def sleep_then_drain(seconds):
                     sleeps.append(seconds)
                     sat.drain()
-                    time.sleep(0.05)  # let the worker pick up the slack
+                    time.sleep(0.05)  # let the parked requests finish
 
                 client._sleep = sleep_then_drain
                 status, body = client.schedule(graph_to_dict(tiny_graph()))

@@ -21,9 +21,11 @@ from repro.qa.serialize import graph_to_dict
 from repro.service import ServiceClient, ServiceConfig, ServiceServer
 from repro.service.app import MAX_EXECUTE_EVENTS, SchedulingService
 
+from tests.service.test_endpoints import Saturated
+
 
 def make_server(**overrides):
-    defaults = {"port": 0, "workers": 2, "batch_window_ms": 1.0}
+    defaults = {"port": 0, "workers": 2}
     config = ServiceConfig(**{**defaults, **overrides})
     server = ServiceServer(config)
     thread = threading.Thread(target=server.serve_forever,
@@ -445,34 +447,6 @@ class TestDrain:
         _, got = fresh.dispatch("GET", f"/sessions/{body['session']}",
                                 None)
         assert got["last_seq"] == 1
-
-
-class Saturated:
-    """A server whose single worker is blocked and whose one queue slot
-    is filled: every pooled request answers 503 until released."""
-
-    def __enter__(self):
-        self.server, self.thread = make_server(workers=1, queue_capacity=1)
-        self.release = threading.Event()
-        started = threading.Event()
-
-        def block():
-            started.set()
-            self.release.wait(30)
-
-        self.blocker = self.server.pool.submit(block)
-        assert started.wait(10)
-        self.filler = self.server.pool.submit(lambda: None)
-        return self
-
-    def drain(self):
-        self.release.set()
-        self.blocker.wait(10)
-        self.filler.wait(10)
-
-    def __exit__(self, *exc):
-        self.drain()
-        stop_server(self.server, self.thread)
 
 
 class TestSessionRetryAgainstSaturatedPool:
