@@ -6,7 +6,9 @@ deployment path end to end: it launches ``python -m repro serve`` as a
 subprocess, waits for the startup log line (which carries the ephemeral
 port and the worker count), fires a 200-request mixed workload at every
 endpoint from concurrent client threads -- including requests that must
-fail (bad graphs -> 400, over-budget graphs -> 429) -- then asks the
+fail (bad graphs -> 400, over-budget graphs -> 429) -- checks the HTTP
+front's own answers (another verb -> JSON 405; an oversized body ->
+413, after which the same client is served again), then asks the
 process to shut down with SIGINT and verifies it exits cleanly (code 0)
 with its persistent cache flushed to disk.
 
@@ -164,6 +166,27 @@ def run_workload(port, workload, n_threads):
     return elapsed, counters, failures
 
 
+def check_front(port):
+    """The HTTP front's own answers: another verb gets the JSON 405, and
+    a body over the default 8 MiB ``max_body_bytes`` gets a 413 that
+    ends its connection, after which the same client is served again.
+    Returns the failures."""
+    failures = []
+    with ServiceClient(port=port, timeout=60) as client:
+        status, body = client.request("PUT", "/schedule", {})
+        if (status, body) != (405, {"error": "PUT not allowed on /schedule",
+                                    "error_type": "ServiceError"}):
+            failures.append(("put_405", (status, body)))
+        status, body = client.request(
+            "POST", "/schedule", {"graph": {"pad": "x" * (9 << 20)}})
+        if status != 413 or body.get("error_type") != "BudgetExceededError":
+            failures.append(("body_413", (status, body)))
+        status, body = client.healthz()
+        if status != 200 or body.get("ok") is not True:
+            failures.append(("reuse_after_413", (status, body)))
+    return failures
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--requests", type=int, default=200)
@@ -185,6 +208,10 @@ def main(argv=None):
             print(f"{args.requests} requests over {args.threads} threads "
                   f"in {elapsed:.2f}s "
                   f"({args.requests / elapsed:.1f} req/s): {counters}")
+            front = check_front(port)
+            print(f"front checks (PUT -> 405, 9 MiB body -> 413, reuse): "
+                  f"{3 - len(front)}/3 passed")
+            failures += front
             for kind, detail in failures[:5]:
                 print(f"  FAIL {kind}: {detail}")
         finally:

@@ -31,32 +31,58 @@ Watchdog bounds and policies themselves live in
 importing this package.
 """
 
+from importlib import import_module
+from typing import TYPE_CHECKING, Any
+
 from repro.core.watchdog import (
     WatchdogConfig,
     WatchdogPolicy,
     WatchdogTimeout,
     validate_watchdog_bounds,
 )
-from repro.resilience.faults import (
-    Fault,
-    FaultKind,
-    FaultPlan,
-    FaultRun,
-    observed_violations,
-    run_with_faults,
-)
 from repro.resilience.guard import (
     RunBudget,
     guarded_schedule,
     load_untrusted_graph,
 )
-from repro.resilience.recovery import (
-    CrashReport,
-    compare_snapshots,
-    journal_stream,
-    record_boundaries,
-    verify_crash_points,
-)
+
+if TYPE_CHECKING:
+    from repro.resilience.faults import (
+        Fault,
+        FaultKind,
+        FaultPlan,
+        FaultRun,
+        observed_violations,
+        run_with_faults,
+    )
+    from repro.resilience.recovery import (
+        CrashReport,
+        compare_snapshots,
+        journal_stream,
+        record_boundaries,
+        verify_crash_points,
+    )
+
+#: Re-exports imported on first use (PEP 562): ``faults`` pulls in the
+#: simulators and ``recovery`` the runtime driver, and the service,
+#: which imports ``guard`` through this package, runs neither.
+_LAZY = {
+    **dict.fromkeys(("Fault", "FaultKind", "FaultPlan", "FaultRun",
+                     "observed_violations", "run_with_faults"),
+                    "repro.resilience.faults"),
+    **dict.fromkeys(("CrashReport", "compare_snapshots", "journal_stream",
+                     "record_boundaries", "verify_crash_points"),
+                    "repro.resilience.recovery"),
+}
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(_LAZY[name]), name)
+    globals()[name] = value
+    return value
+
 
 # NOTE: repro.resilience.chaos is deliberately not imported here -- it
 # is a runnable module (``python -m repro.resilience.chaos``), and

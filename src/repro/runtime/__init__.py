@@ -18,13 +18,9 @@ the control-unit simulation, and the ``runtime`` kind of
 :mod:`repro.resilience.chaos` runs that differential at campaign scale.
 """
 
-from repro.runtime.driver import (
-    RuntimeReplay,
-    drive,
-    events_from_result,
-    replay_faults,
-    static_completion_events,
-)
+from importlib import import_module
+from typing import TYPE_CHECKING, Any
+
 from repro.runtime.events import CompletionEvent, ExecutionLog, IssueRecord
 from repro.runtime.executor import OnlineExecutor, execute_stream
 from repro.runtime.journal import (
@@ -38,6 +34,29 @@ from repro.runtime.journal import (
     validate_batch,
 )
 from repro.runtime.profiles import PROFILE_FAMILIES, sample_profile
+
+if TYPE_CHECKING:
+    from repro.runtime.driver import (
+        RuntimeReplay,
+        drive,
+        events_from_result,
+        replay_faults,
+        static_completion_events,
+    )
+
+#: Re-exports imported on first use (PEP 562): the driver replays fault
+#: plans through the simulators, which the service never runs.
+_LAZY_DRIVER = ("RuntimeReplay", "drive", "events_from_result",
+                "replay_faults", "static_completion_events")
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _LAZY_DRIVER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module("repro.runtime.driver"), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "BatchOutcome",

@@ -11,8 +11,10 @@ The service stack, bottom up:
 * :mod:`repro.service.sessions` -- the bounded table of durable
   executor sessions (journaled ``/sessions`` streams with idempotent
   replay and crash recovery);
-* :mod:`repro.service.server` -- the stdlib HTTP front
-  (``ThreadingHTTPServer``) and :func:`serve`;
+* :mod:`repro.service.server` -- the stdlib HTTP front (a
+  ``socketserver.ThreadingTCPServer`` whose connection threads run
+  their own HTTP/1.1 keep-alive loop, one write per response) and
+  :func:`serve`;
 * :mod:`repro.service.client` -- the JSON client the tests, smoke
   harness and benchmark share.
 

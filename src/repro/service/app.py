@@ -22,13 +22,23 @@ condition                 status  source
 malformed body / graph    400     ``MalformedInputError`` and JSON errors
 over budget               429     ``BudgetExceededError`` (admission)
 unschedulable graph       422     other ``ConstraintGraphError`` taxonomy
-unknown endpoint          404     routing
-wrong method              405     routing
+unknown endpoint          404     routing, any verb
+wrong method              405     routing, any verb (HEAD: headers only)
 body too large            413     ``max_body_bytes``
+unframable request        400     HTTP front: request line, header, no or
+                                  conflicting ``Content-Length``
+chunked body              411     HTTP front: ``Transfer-Encoding``
+request line too long     414     HTTP front: over 64 KiB
+headers too large         431     HTTP front: a line over 64 KiB, or over
+                                  100 lines
+not HTTP/1.x              505     HTTP front
 pool saturated            503     :class:`~repro.service.pool.PoolSaturatedError`
 draining                  503     pool shut down, session admission closed
 no slot in time           504     :class:`~repro.service.pool.JobTimeoutError`
 ========================  ======  =========================================
+
+The HTTP front's own answers (413 and the rows marked "HTTP front")
+are sent before the body was read, so they also close the connection.
 
 Admission control happens *before* scheduling work: the per-tenant
 :class:`~repro.resilience.guard.RunBudget` (``X-Tenant`` header selects

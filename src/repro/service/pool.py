@@ -1,11 +1,11 @@
 """The scheduling service's admission gate.
 
-``ThreadingHTTPServer`` spawns one thread per connection, which bounds
-nothing: a burst of requests would schedule graphs on hundreds of
-threads at once.  The gate decouples *connections* from *work*: each
-connection thread runs its own request, but only once one of
-``workers`` slots is free, and at most ``queue_capacity`` more requests
-may wait for a slot.  A request beyond that is refused
+The HTTP front (:mod:`repro.service.server`) runs one thread per
+connection, which bounds nothing: a burst of requests would schedule
+graphs on hundreds of threads at once.  The gate decouples *connections*
+from *work*: each connection thread runs its own request, but only once
+one of ``workers`` slots is free, and at most ``queue_capacity`` more
+requests may wait for a slot.  A request beyond that is refused
 (:class:`PoolSaturatedError` -> HTTP 503) *before* any scheduling work
 starts, mirroring the RunBudget philosophy of refusing up front rather
 than aborting halfway; one that waits longer than its timeout gives up
