@@ -78,7 +78,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.core.reference import schedule_graph_reference  # noqa: E402
+from repro.qa.reference import schedule_graph_reference  # noqa: E402
 from repro.core.scheduler import schedule_graph  # noqa: E402
 from repro.lint import LintEngine  # noqa: E402
 from repro.resilience.guard import guarded_schedule  # noqa: E402

@@ -4,7 +4,7 @@
 Times the pipeline stages (well-posedness check, anchor analysis,
 end-to-end ``schedule_graph``) on the eight paper designs and on seeded
 random constraint graphs, running both the indexed kernel and the
-original dict implementations (:mod:`repro.core.reference`) in the same
+original dict implementations (:mod:`repro.qa.reference`) in the same
 process, and writes ``BENCH_core.json`` at the repository root.
 
 Every repetition runs on a fresh ``graph.copy()`` so the versioned
@@ -48,7 +48,7 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core.anchors import AnchorMode, anchor_sets_for_mode  # noqa: E402
-from repro.core.reference import (  # noqa: E402
+from repro.qa.reference import (  # noqa: E402
     anchor_sets_for_mode_reference,
     check_well_posed_reference,
     schedule_graph_reference,

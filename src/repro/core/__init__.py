@@ -17,9 +17,8 @@ This package implements the paper's primary contribution:
 * :mod:`repro.core.scheduler` -- iterative incremental scheduling
   (Section IV-E) producing a :class:`repro.core.schedule.RelativeSchedule`.
 * :mod:`repro.core.indexed` -- the graph compiled to dense arrays; the
-  production kernel behind the paths/anchors/scheduler hot loops.
-* :mod:`repro.core.reference` -- the original dict implementations,
-  retained for differential testing and benchmarking.
+  production kernel behind the paths/anchors/scheduler hot loops; the
+  seed's dict loops it is tested against are :mod:`repro.qa.reference`.
 """
 
 from repro.core.delay import UNBOUNDED, Delay, is_unbounded
@@ -45,7 +44,6 @@ from repro.core.wellposed import (
     make_well_posed,
 )
 from repro.core.indexed import IndexedGraph, get_indexed
-from repro.core import reference
 from repro.core.schedule import RelativeSchedule
 from repro.core.scheduler import (
     IterativeIncrementalScheduler,
@@ -83,7 +81,6 @@ __all__ = [
     "make_well_posed",
     "IndexedGraph",
     "get_indexed",
-    "reference",
     "RelativeSchedule",
     "IterativeIncrementalScheduler",
     "ScheduleTrace",

@@ -125,7 +125,7 @@ def irredundant_anchors(graph: ConstraintGraph) -> AnchorSets:
     anchor); the scan itself is ``O(|R|^2)`` per vertex.  The whole
     computation runs on the indexed kernel (bitmask scan over memoised
     per-slot worklist distance arrays) and is cached per graph version;
-    :func:`repro.core.reference.irredundant_anchors_reference` is the
+    :func:`repro.qa.reference.irredundant_anchors_reference` is the
     dict-of-dict scan it is tested against.
     """
     from repro.core.indexed import get_indexed, irredundant_masks, masks_to_sets

@@ -24,7 +24,9 @@ On top of it the hot loops are rewritten as flat array code:
 * :func:`anchor_masks` -- ``findAnchorSet`` as bitset propagation in
   one topological sweep;
 * :func:`relevant_masks` / :func:`irredundant_masks` -- the Section
-  IV-D anchor analyses on masks and per-slot distance arrays;
+  IV-D anchor analyses on masks and per-slot distance arrays (the
+  irredundant scan, the kernel's one numpy stage, runs vectorized on
+  large graphs);
 * :func:`worklist_longest_from` and friends -- the Bellman-Ford family
   as deque/heap worklist relaxation (only vertices whose label changed
   are revisited) with walk-length positive-cycle detection, replacing
@@ -39,7 +41,7 @@ The compilation is memoised on the graph's versioned analysis cache
 (:meth:`ConstraintGraph.cached`), so one compilation serves the whole
 ``check_well_posed -> make_well_posed -> schedule`` pipeline and is
 invalidated automatically when the graph mutates.  The original dict
-implementations are retained verbatim in :mod:`repro.core.reference`;
+implementations are kept, test-only, in :mod:`repro.qa.reference`;
 ``tests/core/test_indexed_differential.py`` asserts the two kernels
 agree on hundreds of seeded random graphs.
 """
@@ -67,8 +69,8 @@ if TYPE_CHECKING:  # the scheduler module imports this one at call time
 #: An unbounded edge weight in the store's encoding.
 _UNBOUNDED_WEIGHT = -UNBOUNDED_TOKEN
 
-try:  # numpy accelerates the dense anchor analyses; every consumer has
-    import numpy as _np  # a pure-Python fallback, so its absence only
+try:  # numpy accelerates the irredundant scan on large graphs; the
+    import numpy as _np  # scalar scan is its fallback, so numpy's absence
 except ImportError:  # pragma: no cover - numpy ships with the toolchain
     _np = None  # costs speed, never correctness.
 
@@ -154,25 +156,16 @@ def get_indexed(graph: ConstraintGraph) -> IndexedGraph:
     return graph.cached("indexed", lambda: IndexedGraph(graph))
 
 
-#: Below this vertex count the numpy sweeps cost more in per-call
-#: overhead than they save; the scalar loops take over (measured
-#: crossover on the paper designs vs. the random workloads).
-_NUMPY_MIN_N = 64
-
-#: Per-stage crossovers: the fixed per-call cost of each vectorized
-#: stage differs (round 1 builds level batches; the irredundant scan
-#: builds length matrices), so each gets its own gate rather than
-#: sharing one global threshold.
-_STAGE_MIN_N = {
-    "round1": 64,
-    "irredundant": 64,
-}
+#: The irredundant scan, the kernel's one numpy stage, runs vectorized
+#: from this vertex count up; below it, building the length matrices
+#: costs more than the scalar scan saves (measured tables: DESIGN.md
+#: section 6).
+_NUMPY_MIN_N = 100
 
 
-def _use_numpy(idx: IndexedGraph, stage: Optional[str] = None) -> bool:
-    """Whether the vectorized sweeps pay off for this graph and stage."""
-    min_n = _STAGE_MIN_N.get(stage, _NUMPY_MIN_N)
-    return _np is not None and idx.n >= min_n and idx.n_anchors > 0
+def _use_numpy(idx: IndexedGraph) -> bool:
+    """Whether the vectorized irredundant scan pays off for this graph."""
+    return _np is not None and idx.n >= _NUMPY_MIN_N and idx.n_anchors > 0
 
 
 def _positions(graph: ConstraintGraph, idx: IndexedGraph) -> List[int]:
@@ -468,7 +461,7 @@ def relevant_masks(graph: ConstraintGraph) -> List[int]:
 
     Per anchor: one traversal seeded by its unbounded out-edges and one
     all-bounded traversal confined to its cone, exactly mirroring the
-    two phases of :func:`repro.core.reference.relevant_anchors_reference`.
+    two phases of :func:`repro.qa.reference.relevant_anchors_reference`.
     """
     def build() -> List[int]:
         idx = get_indexed(graph)
@@ -697,7 +690,7 @@ def irredundant_masks(graph: ConstraintGraph) -> List[int]:
     """
     def build() -> List[int]:
         idx = get_indexed(graph)
-        if _use_numpy(idx, "irredundant"):
+        if _use_numpy(idx):
             return _irredundant_numpy(graph, idx)
         masks = anchor_masks(graph)
         relevant = relevant_masks(graph)
@@ -781,45 +774,6 @@ def masks_to_sets(idx: IndexedGraph, masks: Sequence[int]
 # ----------------------------------------------------------------------
 
 
-def _vector_round1(graph: ConstraintGraph, idx: IndexedGraph,
-                   rows: List[List[int]]) -> List[List[int]]:
-    """The scheduler's first full relaxation sweep, level-batched.
-
-    *rows* are the initial per-vertex offset rows (-1 untracked): all
-    zeros for a cold start, the reshaped previous offsets for a warm
-    start (offsets only relax upward from them, Lemma 8).
-
-    Every anchor's own cell is pinned to its implicit self offset 0 for
-    the duration of the sweep (its write is blocked by the ``+
-    penalty[head]`` additive mask, which confines writes to the slots
-    the head tracks), which subsumes the reference sweep's tail-anchor
-    rule.  Both compute the same single-pass DAG fixpoint as the
-    reference per-head sweep, so the returned int rows (-1 untracked)
-    are identical.
-    """
-    n, m = idx.n, idx.n_anchors
-    neg = -_np.inf
-    D = _np.array(rows, dtype=_np.float64)
-    D[D < 0] = neg  # -1 marks untracked
-    penalty = _np.where(D == neg, neg, 0.0)  # 0 where tracked, -inf where not
-    self_cells = [anchor_vertex * m + slot
-                  for slot, anchor_vertex in enumerate(idx.anchor_vertices)
-                  if D[anchor_vertex, slot] == neg]
-    if self_cells:
-        D.put(self_cells, 0.0)
-    maximum = _np.maximum
-    batches, _, _ = _level_batches(graph)
-    for tails, weights, starts, unique_heads in batches:
-        reduced = maximum.reduceat(D[tails] + weights, starts, axis=0)
-        reduced += penalty[unique_heads]
-        sub = D[unique_heads]
-        maximum(sub, reduced, out=sub)
-        D[unique_heads] = sub
-    if self_cells:
-        D.put(self_cells, neg)
-    return _np.where(D == neg, -1.0, D).astype(int).tolist()
-
-
 def schedule_offsets(graph: ConstraintGraph,
                      anchor_sets: Dict[str, FrozenSet[str]],
                      initial: Optional[Dict[str, Dict[str, int]]] = None,
@@ -832,7 +786,7 @@ def schedule_offsets(graph: ConstraintGraph,
     rounds propagate only downstream of the vertices the readjustment
     moved.  Per-round fixpoints, the violated-edge sets and therefore
     the iteration count are identical to the reference dict scheduler
-    (:func:`repro.core.reference.schedule_offsets_reference`).
+    (:func:`repro.qa.reference.schedule_offsets_reference`).
 
     With *initial*, relaxation warm-starts from the given offsets
     instead of zero (entries for untracked vertex/anchor pairs are
@@ -918,11 +872,7 @@ def schedule_offsets(graph: ConstraintGraph,
         if rec:
             before = [row[:] for row in offsets]
         # -- IncrementalOffset ------------------------------------------
-        if changed is None and _use_numpy(idx, "round1"):
-            if rec:
-                tracer.count("kernel.vectorized_rounds")
-            offsets = _vector_round1(graph, idx, offsets)
-        elif changed is None:
+        if changed is None:
             # Round 1: full relaxation sweep in topological order.
             for v in topo:
                 row = tracked[v]

@@ -15,7 +15,7 @@ The relaxations run on the indexed compilation of the graph
 (:mod:`repro.core.indexed`) as deque/heap worklists -- only vertices
 whose label changed are revisited, instead of the seed's dense
 ``|V| * |E|`` rounds.  The original dense implementations are retained
-in :mod:`repro.core.reference` for differential testing.
+in :mod:`repro.qa.reference` for differential testing.
 """
 
 from __future__ import annotations

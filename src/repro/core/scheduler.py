@@ -19,7 +19,7 @@ The scheduler can run with full, relevant, or irredundant anchor sets
 (Theorems 4 and 6 make the three equivalent on well-posed graphs).  It
 runs on the indexed array kernel of :mod:`repro.core.indexed`, which
 certifies its own offsets and records the Fig. 10 trace; the seed's
-dict loops in :mod:`repro.core.reference` are the differential reference.
+dict loops in :mod:`repro.qa.reference` are the differential reference.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ wire format, session journals and the regression corpus alike:
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, IO, List, Union
+from typing import IO, TYPE_CHECKING, Any, Dict, List, Union
 
 from repro.core.anchors import AnchorMode, anchor_sets_for_mode
 from repro.core.constraints import MaxTimingConstraint, MinTimingConstraint
@@ -46,7 +46,9 @@ from repro.core.exceptions import (
 )
 from repro.core.graph import KIND_IDS, UNBOUNDED_TOKEN, ConstraintGraph, EdgeKind
 from repro.core.schedule import RelativeSchedule
-from repro.seqgraph.model import Design, OpKind, Operation, SequencingGraph
+
+if TYPE_CHECKING:  # the design codecs import the model on first use
+    from repro.seqgraph.model import Design, Operation, SequencingGraph
 
 FORMAT_VERSION = 1
 
@@ -411,6 +413,8 @@ def _is_count(value: Any) -> bool:
 
 
 def _operation_to_dict(op: Operation) -> Dict[str, Any]:
+    from repro.seqgraph.model import OpKind
+
     entry: Dict[str, Any] = {"name": op.name, "kind": op.kind.value}
     if op.kind is OpKind.OPERATION:
         entry["delay"] = op.delay
@@ -432,9 +436,11 @@ def _operation_to_dict(op: Operation) -> Dict[str, Any]:
 
 
 def _operation_from_dict(entry: Dict[str, Any]) -> Operation:
-    return Operation(
+    from repro.seqgraph import model
+
+    return model.Operation(
         name=entry["name"],
-        kind=OpKind(entry["kind"]),
+        kind=model.OpKind(entry["kind"]),
         delay=entry.get("delay", 0 if entry["kind"] != "operation" else 1),
         body=entry.get("body"),
         branches=tuple(entry.get("branches", ())),
@@ -448,6 +454,8 @@ def _operation_from_dict(entry: Dict[str, Any]) -> Operation:
 
 def seqgraph_to_dict(graph: SequencingGraph) -> Dict[str, Any]:
     """Serialize one sequencing graph."""
+    from repro.seqgraph.model import OpKind
+
     return {
         "kind": "sequencing_graph",
         "version": FORMAT_VERSION,
@@ -464,8 +472,10 @@ def seqgraph_to_dict(graph: SequencingGraph) -> Dict[str, Any]:
 
 def seqgraph_from_dict(data: Dict[str, Any]) -> SequencingGraph:
     """Reconstruct one sequencing graph."""
+    from repro.seqgraph import model
+
     _expect(data, "sequencing_graph")
-    graph = SequencingGraph(data["name"])
+    graph = model.SequencingGraph(data["name"])
     for entry in data["operations"]:
         graph.add_operation(_operation_from_dict(entry))
     for tail, head in data["edges"]:
@@ -492,8 +502,10 @@ def design_to_dict(design: Design) -> Dict[str, Any]:
 
 def design_from_dict(data: Dict[str, Any]) -> Design:
     """Reconstruct a hierarchical design (validated)."""
+    from repro.seqgraph import model
+
     _expect(data, "design")
-    design = Design(data["name"], root=data["root"])
+    design = model.Design(data["name"], root=data["root"])
     for entry in data["graphs"]:
         design.add_graph(seqgraph_from_dict(entry))
     design.root = data["root"]
@@ -506,13 +518,6 @@ def design_from_dict(data: Dict[str, Any]) -> Design:
 # file helpers
 # ----------------------------------------------------------------------
 
-_SERIALIZERS = {
-    ConstraintGraph: graph_to_dict,
-    RelativeSchedule: schedule_to_dict,
-    SequencingGraph: seqgraph_to_dict,
-    Design: design_to_dict,
-}
-
 _DESERIALIZERS = {
     "constraint_graph": graph_from_dict,
     "relative_schedule": schedule_from_dict,
@@ -523,9 +528,16 @@ _DESERIALIZERS = {
 
 def to_dict(obj: Any) -> Dict[str, Any]:
     """Serialize any supported artifact to a JSON-ready dict."""
-    for cls, serializer in _SERIALIZERS.items():
-        if isinstance(obj, cls):
-            return serializer(obj)
+    from repro.seqgraph import model
+
+    if isinstance(obj, ConstraintGraph):
+        return graph_to_dict(obj)
+    if isinstance(obj, RelativeSchedule):
+        return schedule_to_dict(obj)
+    if isinstance(obj, model.SequencingGraph):
+        return seqgraph_to_dict(obj)
+    if isinstance(obj, model.Design):
+        return design_to_dict(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

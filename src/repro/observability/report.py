@@ -23,7 +23,7 @@ Report schema (version 2)::
         "iteration_events": [{"round", "violations", "relaxations",
                               "kernel"}],
       },
-      "kernel":  {"indexed_runs", "reference_runs", "vectorized_rounds"},
+      "kernel":  {"indexed_runs", "reference_runs"},
       "cache":   {"hits", "misses", "invalidations", "hit_rate"},
       "wellposed": {"checks", "verdicts": {verdict: count}},
       "events":  [...]               # the raw event stream
@@ -98,7 +98,6 @@ def build_report(tracer: Tracer) -> Dict[str, Any]:
         "kernel": {
             "indexed_runs": counters.get("kernel.indexed_runs", 0),
             "reference_runs": counters.get("kernel.reference_runs", 0),
-            "vectorized_rounds": counters.get("kernel.vectorized_rounds", 0),
         },
         "cache": {
             "hits": hits,

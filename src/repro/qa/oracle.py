@@ -81,14 +81,6 @@ from repro.core.anchors import AnchorMode, find_anchor_sets, irredundant_anchors
 from repro.core.constraints import MaxTimingConstraint, MinTimingConstraint
 from repro.core.graph import ConstraintGraph
 from repro.core.incremental import add_constraint_incremental
-from repro.core.reference import (
-    check_well_posed_reference,
-    find_anchor_sets_reference,
-    irredundant_anchors_reference,
-    relevant_anchors_reference,
-    schedule_graph_reference,
-    schedule_offsets_reference,
-)
 from repro.core.scheduler import IterativeIncrementalScheduler, schedule_graph
 from repro.core.wellposed import (
     WellPosedness,
@@ -97,6 +89,14 @@ from repro.core.wellposed import (
     containment_violations,
     make_well_posed,
     serialization_edges,
+)
+from repro.qa.reference import (
+    check_well_posed_reference,
+    find_anchor_sets_reference,
+    irredundant_anchors_reference,
+    relevant_anchors_reference,
+    schedule_graph_reference,
+    schedule_offsets_reference,
 )
 
 

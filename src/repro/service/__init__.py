@@ -21,13 +21,15 @@ The service stack, bottom up:
 Start one from the command line with ``repro serve``.
 """
 
+from importlib import import_module
+from typing import TYPE_CHECKING, Any
+
 from repro.service.app import (
     PROTOCOL_VERSION,
     SchedulingService,
     ServiceConfig,
     ServiceError,
 )
-from repro.service.client import ServiceClient
 from repro.service.pool import (
     JobTimeoutError,
     PoolSaturatedError,
@@ -36,6 +38,20 @@ from repro.service.pool import (
 )
 from repro.service.server import ServiceServer, serve
 from repro.service.sessions import Session, SessionSealedError, SessionTable
+
+if TYPE_CHECKING:
+    from repro.service.client import ServiceClient
+
+
+def __getattr__(name: str) -> Any:
+    # The client is imported on first use (PEP 562): it pulls in
+    # http.client, which ``repro serve`` never needs.
+    if name != "ServiceClient":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module("repro.service.client"), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "PROTOCOL_VERSION",

@@ -1,8 +1,8 @@
 """The one schedule certificate (:func:`repro.core.indexed.offset_violation`).
 
-* Witness differential: below and above the 64-vertex numpy gates,
+* Witness differential: below, at and above the kernel's numpy gate,
   with numpy present and switched off, ``RelativeSchedule.validate()``
-  names the same witness as the dict scan of :mod:`repro.core.reference`
+  names the same witness as the dict scan of :mod:`repro.qa.reference`
   for every corrupted offset cell, and passes whenever the scan passes.
 * Self-certification: a kernel that ignores every maximum constraint
   cannot hand out a schedule; the certificate inside
@@ -27,9 +27,9 @@ from repro.core import indexed
 from repro.core.exceptions import ScheduleViolationError
 from repro.core.graph import EdgeKind
 from repro.core.incremental import reschedule_with_observed
-from repro.core.reference import offset_violation_reference
 from repro.designs.random_graphs import random_constraint_graph
 from repro.observability import build_report, trace_run
+from repro.qa.reference import offset_violation_reference
 
 #: Cells corrupted per schedule (a seeded sample of the positive ones).
 CELLS = 12

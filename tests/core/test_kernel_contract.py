@@ -24,10 +24,10 @@ from repro.core.constraints import MinTimingConstraint
 from repro.core.exceptions import ConstraintGraphError, IndexedKernelUnsupported
 from repro.core.graph import ConstraintGraph
 from repro.core.incremental import add_constraint_incremental
-from repro.core.reference import schedule_offsets_reference
 from repro.core.scheduler import IterativeIncrementalScheduler, schedule_graph
 from repro.core.delay import UNBOUNDED
 from repro.designs.random_graphs import random_constraint_graph
+from repro.qa.reference import schedule_offsets_reference
 
 
 @pytest.fixture

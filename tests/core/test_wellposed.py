@@ -95,7 +95,7 @@ class TestCheckWellPosed:
 
     def test_verdict_is_the_same_across_the_numpy_gate(self):
         # One structure replicated at sizes on both sides of the
-        # kernel's 64-vertex numpy gates gets one verdict.
+        # kernel's numpy gate gets one verdict.
         from repro.core.indexed import _NUMPY_MIN_N
 
         for n_pad in (2, _NUMPY_MIN_N + 8):

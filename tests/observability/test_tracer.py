@@ -7,8 +7,6 @@ import sys
 import pytest
 
 from repro.core.anchors import AnchorMode
-from repro.core.graph import ConstraintGraph
-from repro.core.reference import schedule_graph_reference
 from repro.core.scheduler import IterativeIncrementalScheduler, schedule_graph
 from repro.designs.random_graphs import random_constraint_graph
 from repro.observability import (
@@ -21,10 +19,11 @@ from repro.observability import (
     use_tracer,
 )
 from repro.observability.tracer import STATE
+from repro.qa.reference import schedule_graph_reference
 
 
 def _graph(seed=11, n=100):
-    """Big enough for the indexed kernel's vectorized fast path."""
+    """A seeded random graph, mid-size by default."""
     return random_constraint_graph(
         random.Random(seed), n, edge_probability=0.1,
         unbounded_probability=0.2, n_min_constraints=3, n_max_constraints=3)

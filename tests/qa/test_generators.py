@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.delay import is_unbounded
 from repro.core.graph import EdgeKind
-from repro.core.indexed import _NUMPY_MIN_N
 from repro.qa.generators import SCENARIOS, case_stream, generate_case
 from repro.qa.serialize import graphs_equal
 
@@ -31,11 +30,12 @@ class TestDeterminism:
 
 
 class TestScenarioShapes:
-    def test_numpy_gate_straddles_vectorization_threshold(self):
+    def test_numpy_gate_draws_from_its_fixed_band(self):
+        # 58-74 operations plus the source and the sink: the band is a
+        # literal, so retuning the kernel's gate moves no seeded case.
         sizes = [len(generate_case(seed, scenario="numpy_gate").graph.vertices())
                  for seed in range(40)]
-        assert any(n <= _NUMPY_MIN_N for n in sizes)
-        assert any(n > _NUMPY_MIN_N for n in sizes)
+        assert min(sizes) == 60 and max(sizes) == 76
 
     def test_anchor_dense_has_anchor_majority_on_average(self):
         ratios = []

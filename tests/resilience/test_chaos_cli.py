@@ -19,6 +19,35 @@ from repro.resilience.chaos import (
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
+#: The three seeded campaigns CI runs, and the summary each prints.
+#: Their cases come from the fuzz generators through the per-graph
+#: kernel, so a change to either that moves a single case shows here.
+CI_CAMPAIGNS = {
+    "faults": (["--seed", "0", "--cases", "200"], """\
+chaos campaign: 200 cases (80 unschedulable)
+  detected: 103
+  masked: 17
+  fault-free: 5
+  silent: 0
+  faults injected: drop=60, early=46, late=64, spurious=45, stall=52
+  policies: abort=40, fallback=30, retry=50
+"""),
+    "runtime": (["--kind", "runtime", "--seed", "0", "--events", "200"], """\
+runtime chaos campaign: 192 cases (76 unschedulable), 207 events
+  completed: 24
+  aborted: 67
+  degraded: 25
+  silent: 0
+  profile families: boundary=29, bursty=29, quiet=29, uniform=29
+"""),
+    "crash": (["--kind", "crash", "--seed", "0", "--cases", "60"], """\
+crash-injection campaign: 60 cases (23 unschedulable), 227 events
+  boundary kills: 301
+  torn kills: 264
+  silent: 0
+"""),
+}
+
 
 class TestCaseGeneration:
     def test_same_seed_same_case(self):
@@ -95,6 +124,14 @@ class TestCampaign:
         assert "  silent: 12" in lines
         assert "  SILENT seed 9: differs" in lines
         assert lines[-1] == "  ... and 2 more"
+
+
+class TestCiCampaigns:
+    @pytest.mark.parametrize("kind", sorted(CI_CAMPAIGNS))
+    def test_summary_is_pinned(self, kind, capsys):
+        argv, expected = CI_CAMPAIGNS[kind]
+        assert chaos_main(argv) == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestChaosMain:

@@ -375,15 +375,33 @@ class TestIdleConnections:
             assert read_response(reader)[0] == 200
 
 
-def test_importing_the_service_leaves_the_simulators_out():
+def loaded_modules(statement, names):
+    """Which of the modules *names* (or their submodules) a fresh
+    interpreter holds after running *statement*, as a printed list."""
     src = Path(server_module.__file__).resolve().parents[2]
-    probe = ("import sys, repro.service; print(sorted(m for m in "
-             "('repro.sim', 'repro.hdl', 'repro.resilience.faults', "
-             "'repro.runtime.driver') if m in sys.modules))")
+    probe = (f"import sys\n{statement}\n"
+             f"print(sorted({{m for m in sys.modules for n in {names!r} "
+             f"if m == n or m.startswith(n + '.')}}))")
     path = os.pathsep.join(filter(None, [str(src),
                                          os.environ.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", probe],
                             env={**os.environ, "PYTHONPATH": path},
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_importing_the_service_leaves_the_simulators_out():
+    assert loaded_modules("import repro.service", (
+        "repro.sim", "repro.hdl", "repro.resilience.faults",
+        "repro.runtime.driver")) == "[]"
+
+
+def test_serve_start_up_leaves_the_client_and_the_reference_out():
+    # ``repro serve`` runs neither the HTTP client nor the sequencing-
+    # graph codecs, and the dict reference kernel is test-only.
+    assert loaded_modules(
+        "import repro.cli; from repro.service import server",
+        ("http.client", "repro.seqgraph", "repro.qa",
+         "repro.core.reference")) == "[]"
+    assert loaded_modules("import repro.core.batch", ("repro.qa",)) == "[]"
