@@ -6,8 +6,8 @@ A minimum relative schedule is valid for every delay profile, so the
 static offsets and solves nothing at run time.  This bench measures
 what that buys on live streams:
 
-* **executor** -- the executor as shipped: per-event cost is the issue
-  scan over the operations still pending;
+* **executor** -- the executor as shipped: an event visits only the
+  operations waiting on the anchor it completes;
 * **scratch** -- the naive alternative: rebind the observed delay, then
   a full ``IterativeIncrementalScheduler(...).run()`` per event.
 
@@ -22,8 +22,9 @@ at 0 by ``perf_guard``'s ``runtime_no_reschedule``).
 The second workload prices durability: the same streams through the
 service's session path (``POST /sessions`` + one ``/events`` batch per
 completion) with no journal, a journal under ``fsync "never"``, and a
-journal under ``fsync "always"`` -- the per-event overhead of the
-write-ahead append is what ``perf_guard`` gates (``journal_overhead``).
+journal under ``fsync "always"``, interleaved stream by stream -- the
+per-event overhead of the write-ahead append is what ``perf_guard``
+gates (``journal_overhead``).
 
 Usage::
 
@@ -179,38 +180,66 @@ def bench_runtime(quick=False):
     }
 
 
-def run_session_pass(cases, journal_dir, fsync):
-    """One pass of every stream through the session endpoints; returns
-    (seconds spent posting events, events acknowledged).
+#: The session modes: no journal, a journal under fsync "never", and
+#: one under fsync "always".
+SESSION_MODES = (("memory", None), ("journal_nosync", "never"),
+                 ("journal_fsync", "always"))
 
-    Session creation (scheduling, identical across modes) happens
-    outside the timed region: what differs between the modes is the
-    per-event path -- validate, journal append (or not), apply, ack.
-    """
+
+def open_sessions(service, cases):
+    """``POST /sessions`` for every case; returns (events path, events)
+    per case.  Untimed: scheduling is identical across modes."""
     from repro.qa.serialize import graph_to_dict
-    from repro.service.app import SchedulingService, ServiceConfig
 
-    service = SchedulingService(ServiceConfig(
-        journal_dir=journal_dir, journal_fsync=fsync))
     streams = []
     for schedule, events in cases:
         status, body = service.dispatch(
             "POST", "/sessions", {"graph": graph_to_dict(schedule.graph)})
         assert status == 200, body
-        streams.append((body["session"], events))
+        streams.append((f"/sessions/{body['session']}/events", events))
+    return streams
 
-    acknowledged = 0
-    elapsed = 0.0
-    for sid, events in streams:
-        path = f"/sessions/{sid}/events"
-        t0 = time.perf_counter()
-        for seq, (anchor, cycle) in enumerate(events, start=1):
-            status, body = service.dispatch(
-                "POST", path, {"seq": seq, "events": [[anchor, cycle]]})
-            assert status == 200, body
-            acknowledged += 1
-        elapsed += time.perf_counter() - t0
-    return elapsed, acknowledged
+
+def post_stream(service, path, events):
+    """One ``/events`` batch per completion; returns the seconds spent."""
+    t0 = time.perf_counter()
+    for seq, (anchor, cycle) in enumerate(events, start=1):
+        status, body = service.dispatch(
+            "POST", path, {"seq": seq, "events": [[anchor, cycle]]})
+        assert status == 200, body
+    return time.perf_counter() - t0
+
+
+def run_session_rep(cases, rep):
+    """One rep of every stream in every mode: (seconds, events) per mode.
+
+    What differs between the modes is the per-event path -- validate,
+    journal append (or not), apply, ack.  Each stream runs in all three
+    modes back to back, the mode that goes first rotating from stream
+    to stream and from rep to rep, so a change in host speed lands on
+    every mode alike instead of on whichever ran during it.
+    """
+    from repro.service.app import SchedulingService, ServiceConfig
+
+    with tempfile.TemporaryDirectory() as tmp:
+        services = {}
+        for mode, fsync in SESSION_MODES:
+            service = SchedulingService(ServiceConfig(
+                journal_dir=None if fsync is None else f"{tmp}/{mode}",
+                journal_fsync=fsync or "never"))
+            services[mode] = (service, open_sessions(service, cases))
+        totals = {mode: [0.0, 0] for mode, _ in SESSION_MODES}
+        for index in range(len(cases)):
+            for turn in range(len(SESSION_MODES)):
+                mode = SESSION_MODES[(rep + index + turn)
+                                     % len(SESSION_MODES)][0]
+                service, streams = services[mode]
+                path, events = streams[index]
+                totals[mode][0] += post_stream(service, path, events)
+                totals[mode][1] += len(events)
+        for service, _ in services.values():
+            service.close()
+    return totals
 
 
 def bench_sessions(quick=False):
@@ -218,19 +247,14 @@ def bench_sessions(quick=False):
     cases = make_stream_corpus(recipe["n_graphs"], recipe["n_lo"],
                                recipe["n_hi"], seed=1991)
 
+    best = {}
+    for rep in range(recipe["passes"]):
+        for mode, (rep_s, rep_events) in run_session_rep(cases, rep).items():
+            if mode not in best or rep_s < best[mode][0]:
+                best[mode] = (rep_s, rep_events)
     modes = {}
-    for mode, fsync in (("memory", None), ("journal_nosync", "never"),
-                        ("journal_fsync", "always")):
-        best_s, events = 0.0, 0
-        for _ in range(recipe["passes"]):
-            if fsync is None:
-                pass_s, pass_events = run_session_pass(cases, None, "never")
-            else:
-                with tempfile.TemporaryDirectory() as tmp:
-                    pass_s, pass_events = run_session_pass(cases, tmp,
-                                                           fsync)
-            if pass_s < best_s or best_s == 0.0:
-                best_s, events = pass_s, pass_events
+    for mode, _ in SESSION_MODES:
+        best_s, events = best[mode]
         modes[mode] = {
             "events": events,
             "seconds": round(best_s, 4),

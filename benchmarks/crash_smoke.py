@@ -19,10 +19,16 @@ same journal directory must:
 * exit 0 on SIGTERM (graceful drain), leaving journals that a third
   scan still reads cleanly.
 
+With ``--session-cap N`` below ``--sessions``, both servers run with
+``repro serve --session-cap N``: the kill lands while some sessions
+hold their journal descriptor and others were evicted, and the restart
+evicts again as it recovers, so every later request may be a lazy
+recovery.
+
 Usage::
 
     python benchmarks/crash_smoke.py                  # CI (3 sessions)
-    python benchmarks/crash_smoke.py --sessions 8
+    python benchmarks/crash_smoke.py --sessions 8 --session-cap 3
 """
 
 import argparse
@@ -52,17 +58,19 @@ STARTUP_RE = re.compile(
 RECOVERY_RE = re.compile(r"session journals in .+ -- (\d+) session\(s\)")
 
 
-def launch_server(journal_dir, fsync="always"):
+def launch_server(journal_dir, fsync="always", session_cap=None):
     """Start a journaled ``repro serve``; returns (process, port,
     recovered-session count from the startup log)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     env["PYTHONUNBUFFERED"] = "1"
+    command = [sys.executable, "-m", "repro", "serve", "--port", "0",
+               "--workers", "2", "--journal-dir", str(journal_dir),
+               "--journal-fsync", fsync]
+    if session_cap is not None:
+        command += ["--session-cap", str(session_cap)]
     process = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--workers", "2", "--journal-dir", str(journal_dir),
-         "--journal-fsync", fsync],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        command, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True)
     port = None
     recovered = None
@@ -101,6 +109,8 @@ def stream_graph(index):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sessions", type=int, default=3)
+    parser.add_argument("--session-cap", type=int, default=None,
+                        help="passed to repro serve (default: its own)")
     args = parser.parse_args(argv)
 
     cases = [stream_graph(i) for i in range(args.sessions)]
@@ -120,7 +130,8 @@ def main(argv=None):
         journal_dir = Path(tmp) / "journals"
 
         # -- phase 1: live sessions, one acknowledged batch each -------
-        process, port, recovered = launch_server(journal_dir)
+        process, port, recovered = launch_server(
+            journal_dir, session_cap=args.session_cap)
         print(f"server up on port {port} "
               f"({recovered} sessions recovered on a fresh dir)")
         check(recovered == 0, "fresh journal dir recovers 0 sessions")
@@ -147,7 +158,8 @@ def main(argv=None):
         print(f"SIGKILLed pid {process.pid} mid-stream")
 
         # -- phase 2: restart over the same journal directory ----------
-        process, port, recovered = launch_server(journal_dir)
+        process, port, recovered = launch_server(
+            journal_dir, session_cap=args.session_cap)
         print(f"server back on port {port}, {recovered} sessions recovered")
         check(recovered == args.sessions,
               f"all {args.sessions} sessions recovered from journals")

@@ -310,8 +310,9 @@ def guard_journal(factor):
 
     Runs the quick :mod:`benchmarks.bench_runtime` session corpus --
     identical streams through the session endpoints with no journal
-    directory and with an fsync-"never" journal -- and gates the
-    journaled per-event cost at *factor* times the in-memory cost.
+    directory and with an fsync-"never" journal, interleaved rep by rep
+    -- and gates the journaled per-event cost at *factor* times the
+    in-memory cost.
     Self-relative (both modes run here), so it holds on CI runners.
     The fsync-"always" number rides along for the report.
     """

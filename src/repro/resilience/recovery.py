@@ -101,24 +101,27 @@ def journal_stream(path: Union[str, Path], graph_dict: Dict[str, Any],
     ground truth :func:`verify_crash_points` compares recoveries to.
     """
     journal = SessionJournal(path, fsync=fsync)
-    journal.append_open("case", graph_dict, mode=mode, watchdog=watchdog,
-                        source_done=source_done,
-                        auto_well_pose=auto_well_pose)
-    genesis = read_journal(path).open_record
-    executor = executor_from_open_record(genesis, budget)
-    snapshots = [executor.state_snapshot()]
-    seq = 0
-    for anchor, cycle in events:
-        try:
-            validate_batch(executor, [(anchor, cycle)])
-        except MalformedInputError:
-            continue  # the service answers 400 and journals nothing
-        seq += 1
-        journal.append_events(seq, [(anchor, cycle)])
-        outcome = apply_batch(executor, seq, [(anchor, cycle)])
-        snapshots.append(executor.state_snapshot())
-        if outcome.error:
-            break  # the service refuses further events (409)
+    try:
+        journal.append_open("case", graph_dict, mode=mode,
+                            watchdog=watchdog, source_done=source_done,
+                            auto_well_pose=auto_well_pose)
+        genesis = read_journal(path).open_record
+        executor = executor_from_open_record(genesis, budget)
+        snapshots = [executor.state_snapshot()]
+        seq = 0
+        for anchor, cycle in events:
+            try:
+                validate_batch(executor, [(anchor, cycle)])
+            except MalformedInputError:
+                continue  # the service answers 400 and journals nothing
+            seq += 1
+            journal.append_events(seq, [(anchor, cycle)])
+            outcome = apply_batch(executor, seq, [(anchor, cycle)])
+            snapshots.append(executor.state_snapshot())
+            if outcome.error:
+                break  # the service refuses further events (409)
+    finally:
+        journal.close()
     return snapshots
 
 

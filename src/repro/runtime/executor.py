@@ -13,8 +13,9 @@ run time.  :class:`OnlineExecutor` does exactly that:
   qa oracle pins (no completion may delay another op's start relative
   to the static relative schedule);
 * an accepted completion records its cycle and issues what it
-  unblocks; no scheduler runs, so the cost of an event is the issue
-  scan, not a relaxation;
+  unblocks; no scheduler runs, and a per-anchor index of waiting
+  operations (built once from the static anchor sets) means an event
+  visits only the operations whose anchor sets hold its anchor;
 * the *rebound* schedule -- the minimum relative schedule of the graph
   with every observed anchor delay folded in as a bound -- is computed
   on demand by :attr:`OnlineExecutor.schedule`
@@ -46,6 +47,7 @@ if TYPE_CHECKING:
 
 from repro.core.delay import is_unbounded
 from repro.core.exceptions import MalformedInputError, WatchdogTimeoutError
+from repro.core.graph import UNBOUNDED_TOKEN
 from repro.core.incremental import reschedule_with_observed
 from repro.core.schedule import RelativeSchedule
 from repro.core.watchdog import WatchdogConfig, WatchdogPolicy, WatchdogTimeout
@@ -84,14 +86,36 @@ class OnlineExecutor:
         self.static = schedule
         self.watchdog = watchdog
         self.log = ExecutionLog()
-        self._source = schedule.graph.source
-        self._anchors = set(schedule.graph.anchors)
-        self._static_delta = {v.name: v.delay
-                              for v in schedule.graph.vertices()}
-        self._done: Dict[str, int] = {self._source: source_done}
-        self._pending: List[str] = [
-            v for v in schedule.graph.forward_topological_order()
-            if v != self._source]
+        graph = schedule.graph
+        self._source = source = graph.source
+        self._anchors = set(graph.anchors)
+        tokens, _ = graph.packed()
+        # Bounded delays straight from the store (anchors are absent).
+        self._delays = {name: token
+                        for name, token in zip(graph.vertex_names(), tokens)
+                        if token != UNBOUNDED_TOKEN}
+        self._done: Dict[str, int] = {source: source_done}
+        # The readiness index, built once from the static anchor sets:
+        # every unissued operation maps to how many of its anchors have
+        # not completed (in forward topological order, which is also
+        # the order same-cycle ties issue in), and every anchor lists
+        # the operations waiting on it, in that same order.
+        offsets = schedule.offsets
+        self._pending: Dict[str, int] = {}
+        self._waiters: Dict[str, List[str]] = {}
+        ready: List[str] = []
+        for vertex in graph.forward_topological_order():
+            if vertex == source:
+                continue
+            waiting = 0
+            for anchor in offsets.get(vertex, {}):
+                if anchor != source:
+                    waiting += 1
+                    self._waiters.setdefault(anchor, []).append(vertex)
+            if waiting:
+                self._pending[vertex] = waiting
+            else:
+                ready.append(vertex)
         self._deadlines: Dict[str, int] = {}
         self._arm_seq: Dict[str, int] = {}
         self._armed = 0
@@ -99,10 +123,10 @@ class OnlineExecutor:
         self._stream_clock = 0
         self._closed = False
         self._feed_seconds = 0.0
-        self.log.issues[self._source] = 0
-        self.log.done[self._source] = source_done
+        self.log.issues[source] = 0
+        self.log.done[source] = source_done
         self.log.cycles = max(0, source_done)
-        self._issue_ready(-1)
+        self._issue(ready, -1)
 
     # -- state ---------------------------------------------------------
 
@@ -227,7 +251,7 @@ class OnlineExecutor:
         self.log.done[anchor] = cycle
         self.log.cycles = max(self.log.cycles, cycle)
         self._done[anchor] = cycle
-        self._issue_ready(index)
+        self._issue_ready(anchor, index)
         self._feed_seconds += time.perf_counter() - t0
 
     def run(self, events: Iterable[CompletionEvent]) -> ExecutionLog:
@@ -268,30 +292,46 @@ class OnlineExecutor:
 
     # -- internals -----------------------------------------------------
 
-    def _issue_ready(self, event_index: int) -> None:
-        """Issue every operation whose anchors have all completed.
+    def _issue_ready(self, anchor: str, event_index: int) -> None:
+        """Count *anchor*'s completion against the operations waiting on
+        it and issue the ones it leaves with no anchor outstanding.
 
-        Readiness and issue cycles come from the *static* offsets --
-        the paper's runtime rule ``T(v) = max(done(a) + sigma_a(v))``
-        over the original anchor sets, exact for every profile.  The
-        rebound schedule cannot serve here: binding the last anchor of
-        a vertex that has no forward path from the source (legal in a
+        Only *anchor*'s waiters are visited.  Its waiter list is in
+        forward topological order, so the newly ready operations issue
+        in the same order a scan of every pending operation would
+        visit them.
+        """
+        pending = self._pending
+        ready: List[str] = []
+        for vertex in self._waiters.pop(anchor, ()):
+            waiting = pending[vertex] - 1
+            if waiting:
+                pending[vertex] = waiting
+            else:
+                del pending[vertex]
+                ready.append(vertex)
+        self._issue(ready, event_index)
+
+    def _issue(self, ready: List[str], event_index: int) -> None:
+        """Commit *ready*: operations no longer pending whose anchors
+        have all completed, in topological order.
+
+        Issue cycles come from the *static* offsets -- the paper's
+        runtime rule ``T(v) = max(done(a) + sigma_a(v))`` over the
+        original anchor sets, exact for every profile.  The rebound
+        schedule cannot serve here: binding the last anchor of a vertex
+        that has no forward path from the source (legal in a
         well-posed but non-polar graph) leaves it an empty offsets row,
         and the relative representation has no anchor left to carry
         its now-absolute start.
         """
         offsets = self.static.offsets
         done = self._done
-        still: List[str] = []
-        for vertex in self._pending:
+        for vertex in ready:
             terms = offsets.get(vertex, {})
-            if all(a in done for a in terms):
-                start = max((done[a] + sigma for a, sigma in terms.items()),
-                            default=0)
-                self._commit(vertex, start, event_index)
-            else:
-                still.append(vertex)
-        self._pending = still
+            start = max((done[a] + sigma for a, sigma in terms.items()),
+                        default=0)
+            self._commit(vertex, start, event_index)
         if not self._pending and self._deadlines:
             # Every start is committed.  The per-cycle simulator keeps
             # checking watchdogs up to and including the cycle the last
@@ -309,8 +349,8 @@ class OnlineExecutor:
         self.log.issue_order.append(IssueRecord(vertex, start, event_index))
         self.log.cycles = max(self.log.cycles, start)
         self._max_start = max(self._max_start, start)
-        delta = self._static_delta[vertex]
-        if not is_unbounded(delta):
+        delta = self._delays.get(vertex)
+        if delta is not None:
             self.log.done[vertex] = start + delta
             self.log.cycles = max(self.log.cycles, start + delta)
         elif self.watchdog is not None:
@@ -384,7 +424,7 @@ class OnlineExecutor:
         self.log.stalled = stalled_pre
         self.log.unissued = []
         self.log.cycles = max(self.log.cycles, cycle)
-        self._pending = []
+        self._pending.clear()
         self._deadlines.clear()
         tracer = _OBS.tracer
         if tracer.enabled:

@@ -52,6 +52,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
@@ -73,6 +74,10 @@ JOURNAL_SUFFIX = ".journal"
 
 #: The fsync policies :class:`SessionJournal` accepts.
 FSYNC_POLICIES = ("always", "never")
+
+#: One compact encoder for every record (``json.dumps`` with separators
+#: builds a new encoder per call).
+_encode = json.JSONEncoder(separators=(",", ":")).encode
 
 #: Hard caps mirroring the untrusted-input limits: a hostile journal
 #: must not balloon memory by declaring huge batches.
@@ -147,9 +152,22 @@ class SessionJournal:
         # DESIGN.md section 15 on sanitizer false positives).
         self._lock = make_lock("journal.append", io_ok=True)
         self.appends = 0
+        # The O_APPEND descriptor, opened by the first append and held
+        # until seal, close, sync or a failed append.
+        self._fd: Optional[int] = None
         # Set when a failed append could not be rolled back from the
         # file: every later append is refused (see _append).
         self._poisoned: Optional[str] = None
+
+    def __del__(self) -> None:
+        # A journal dropped while it holds its descriptor (a request
+        # that raced its session's eviction) still gives it back.
+        fd = getattr(self, "_fd", None)
+        if fd is not None:
+            try:
+                os.close(fd)
+            except OSError:  # pragma: no cover - already gone
+                pass
 
     # -- the write path ------------------------------------------------
 
@@ -178,88 +196,112 @@ class SessionJournal:
         })
 
     def append_seal(self, last_seq: int) -> None:
-        """Mark the session cleanly closed; always fsynced."""
+        """Mark the session cleanly closed; always fsynced.  Releases
+        the descriptor: a sealed journal takes no further records."""
         self._append({"type": "seal", "last_seq": last_seq}, force_sync=True)
+        self.close()
 
     def sync(self) -> None:
-        """Force the journal to disk regardless of the fsync policy
-        (the graceful-drain path)."""
-        try:
-            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
-        except OSError:
-            return
-        try:
-            os.fsync(fd)
-        except OSError:  # pragma: no cover - racy platform failures
-            pass
-        finally:
-            os.close(fd)
+        """Force the journal to disk regardless of the fsync policy and
+        release its descriptor (eviction and the graceful drain)."""
+        with self._lock:
+            fd, self._fd = self._fd, None
+            if fd is None:
+                try:
+                    fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
+                except OSError:
+                    return
+            try:
+                os.fsync(fd)
+            except OSError:  # pragma: no cover - racy platform failures
+                pass
+            finally:
+                os.close(fd)
+
+    def close(self) -> None:
+        """Release the held descriptor (no flush); a later append opens
+        a new one."""
+        with self._lock:
+            fd, self._fd = self._fd, None
+            if fd is not None:
+                os.close(fd)
 
     def _append(self, record: Dict[str, Any], *,
                 force_sync: bool = False, genesis: bool = False) -> None:
         """One whole-line durable append (the ScheduleCache discipline).
 
-        Only the *genesis* record creates the journal's directory; every
-        later record appends to a file that already lives there.
+        The first append opens the journal's ``O_APPEND`` descriptor
+        and later ones reuse it, so an append costs ``flock, write,
+        fsync, unlock``.  Only the *genesis* record creates the
+        journal's directory; every later record appends to a file that
+        already lives there.
 
         A failed or short write raises :class:`JournalWriteError`: the
         caller must not acknowledge the batch.  Unlike the schedule
         cache -- where persistence is an optimization and failures
         degrade to memory -- the journal IS the durability contract.
         So a failed append also leaves no trace a recovery could read
-        as acknowledged: the file is truncated back to its size before
-        the write.  A failed fsync cannot be retried into success (the
-        kernel may already have dropped the dirty pages), so it also
-        poisons the journal, as does a rollback that itself fails;
-        a poisoned journal refuses every later append.
+        as acknowledged: still under the flock, the file is truncated
+        back to its size before the write (the size now, less the bytes
+        this append wrote), and the descriptor is released.  A failed
+        fsync cannot be retried into success (the kernel may already
+        have dropped the dirty pages), so it also poisons the journal,
+        as does a rollback that itself fails; a poisoned journal
+        refuses every later append.
         """
-        payload = (json.dumps(record, separators=(",", ":"))
-                   + "\n").encode("utf-8")
+        payload = (_encode(record) + "\n").encode("utf-8")
         with self._lock:
             if self._poisoned is not None:
                 raise JournalWriteError(
                     f"journal {self.path} is poisoned by an earlier "
                     f"failed append: {self._poisoned}")
             try:
-                if genesis:
-                    self.path.parent.mkdir(parents=True, exist_ok=True)
-                fd = os.open(self.path,
-                             os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+                fd = self._fd
+                if fd is None:
+                    if genesis:
+                        self.path.parent.mkdir(parents=True, exist_ok=True)
+                    fd = self._fd = os.open(
+                        self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT,
+                        0o644)
                 try:
                     if fcntl is not None:
                         fcntl.flock(fd, fcntl.LOCK_EX)
                     try:
-                        size = os.fstat(fd).st_size
+                        written = 0
                         stage = "write"
                         try:
                             view = memoryview(payload)
                             while view:  # a short write would tear a line
-                                view = view[os.write(fd, view):]
+                                count = os.write(fd, view)
+                                written += count
+                                view = view[count:]
                             if force_sync or self.fsync == "always":
                                 stage = "fsync"
                                 os.fsync(fd)
                         except OSError as error:
-                            self._roll_back(fd, size, stage, error)
+                            self._roll_back(fd, written, stage, error)
                             raise
                     finally:
                         if fcntl is not None:
                             fcntl.flock(fd, fcntl.LOCK_UN)
-                finally:
+                except OSError:
+                    self._fd = None
                     os.close(fd)
+                    raise
             except OSError as error:
                 raise JournalWriteError(
                     f"journal append to {self.path} failed: {error}"
                 ) from error
             self.appends += 1
 
-    def _roll_back(self, fd: int, size: int, stage: str,
+    def _roll_back(self, fd: int, written: int, stage: str,
                    error: OSError) -> None:
-        """Truncate a failed append back to the pre-write *size*;
+        """Truncate a failed append's *written* bytes off the file;
         poison the journal when the fsync or the truncation failed."""
         if stage == "fsync":
             self._poisoned = f"fsync failed ({error})"
         try:
-            os.ftruncate(fd, size)
+            os.ftruncate(fd, os.fstat(fd).st_size - written)
         except OSError as rollback:
             self._poisoned = (f"{stage} failed ({error}), then "
                               f"rollback failed ({rollback})")
@@ -446,10 +488,16 @@ def scan_journal_dir(journal_dir: Union[str, Path]
         return states
     for path in paths:
         stem = path.name[:-len(JOURNAL_SUFFIX)]
-        if not stem or not all(c.isalnum() or c == "-" for c in stem):
-            continue
-        states[stem] = read_journal(path)
+        if valid_session_id(stem):
+            states[stem] = read_journal(path)
     return states
+
+
+def valid_session_id(name: str) -> bool:
+    """True when *name* is a plausible session id: non-empty, and only
+    letters, digits (Unicode ones included) and dashes, so no path
+    separator or dot can reach a journal file name."""
+    return name.replace("-", "0").isalnum()
 
 
 def journal_path(journal_dir: Union[str, Path], session_id: str) -> Path:
@@ -547,10 +595,14 @@ def apply_batch(executor: "OnlineExecutor", seq: int,
                 events: List[Tuple[str, int]]) -> BatchOutcome:
     """Feed one validated batch; return the issue-cycle delta.
 
-    The delta is computed by diffing the execution log around the
-    feeds, so the live acknowledgement path and the recovery replay
-    path produce byte-identical outcomes for the same prefix (the
+    The delta is the entries the executor appended to the log's issue
+    and done maps during the batch (both only grow, in commit order),
+    so the live acknowledgement path and the recovery replay path
+    produce byte-identical outcomes for the same prefix (the
     anomaly-freedom invariant makes the underlying state identical).
+    A FALLBACK degradation replaces both maps with the static
+    worst-case schedule's; that batch's delta is the fallback diffed
+    against the maps' pre-batch prefix.
 
     A watchdog ABORT inside the batch is caught and recorded as the
     batch's outcome -- deterministically, so replaying the same journal
@@ -560,8 +612,8 @@ def apply_batch(executor: "OnlineExecutor", seq: int,
     from repro.runtime.events import CompletionEvent
 
     log = executor.log
-    issues_before = dict(log.issues)
-    done_before = dict(log.done)
+    issues, done = log.issues, log.done
+    issues_before, done_before = len(issues), len(done)
     timeouts_before = len(log.timeouts)
     outcome = BatchOutcome(seq=seq)
     try:
@@ -570,10 +622,12 @@ def apply_batch(executor: "OnlineExecutor", seq: int,
     except WatchdogTimeoutError as error:
         outcome.error = type(error).__name__
         outcome.error_message = str(error)
-    outcome.issues = {op: cycle for op, cycle in log.issues.items()
-                      if issues_before.get(op) != cycle}
-    outcome.done = {op: cycle for op, cycle in log.done.items()
-                    if done_before.get(op) != cycle}
+    if log.issues is issues:
+        outcome.issues = _appended(issues, issues_before)
+        outcome.done = _appended(done, done_before)
+    else:
+        outcome.issues = _changed(log.issues, issues, issues_before)
+        outcome.done = _changed(log.done, done, done_before)
     outcome.timeouts = [
         {"anchor": t.anchor, "cycle": t.cycle, "bound": t.bound,
          "rearm": t.rearm}
@@ -582,6 +636,23 @@ def apply_batch(executor: "OnlineExecutor", seq: int,
     outcome.complete = not executor._pending
     outcome.cycles = log.cycles
     return outcome
+
+
+def _appended(entries: Dict[str, int], before: int) -> Dict[str, int]:
+    """The entries an insertion-ordered map gained after its first
+    *before*, in insertion order."""
+    tail = list(islice(reversed(entries.items()), len(entries) - before))
+    tail.reverse()
+    return dict(tail)
+
+
+def _changed(after: Dict[str, int], replaced: Dict[str, int],
+             before: int) -> Dict[str, int]:
+    """The entries of *after* that differ from the first *before*
+    entries of the map it *replaced*."""
+    prior = dict(islice(replaced.items(), before))
+    return {op: cycle for op, cycle in after.items()
+            if prior.get(op) != cycle}
 
 
 def watchdog_to_dict(config: Any) -> Optional[Dict[str, Any]]:

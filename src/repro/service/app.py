@@ -70,6 +70,7 @@ from repro.resilience.guard import (
     guarded_schedule,
     untrusted_graph_from_dict,
 )
+from repro.runtime.journal import valid_session_id
 from repro.service.sessions import (
     Session,
     SessionSealedError,
@@ -791,16 +792,16 @@ def _error_body(error: Exception) -> Dict[str, Any]:
 def _session_label(path: str) -> Tuple[Optional[str], Optional[str]]:
     """Normalize ``/sessions/{id}[/events]`` -> (route label, id).
 
-    Ids are restricted to alphanumerics and dashes (the same character
-    set the journal-directory scan accepts), so a crafted path cannot
-    smuggle separators toward journal filenames.
+    Ids are restricted to alphanumerics and dashes
+    (:func:`~repro.runtime.journal.valid_session_id`, the check the
+    journal-directory scan applies), so a crafted path cannot smuggle
+    separators toward journal filenames.
     """
     parts = path.strip("/").split("/")
     if not 2 <= len(parts) <= 3 or parts[0] != "sessions":
         return None, None
     session_id = parts[1]
-    if not session_id or not all(c.isalnum() or c == "-"
-                                 for c in session_id):
+    if not valid_session_id(session_id):
         return None, None
     if len(parts) == 2:
         return "/sessions/{id}", session_id

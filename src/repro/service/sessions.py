@@ -16,13 +16,14 @@ batches instead of one-shot ``/execute`` bodies.  Each session owns:
 
 The table is bounded two ways -- an LRU cap and a TTL -- because a
 service holding streams for millions of users cannot keep every
-executor resident.  Eviction syncs the journal and drops the in-memory
-state only: the next request for an evicted id *lazily recovers* it by
-replaying the journal's acknowledged prefix (bit-identical by the
-anomaly-freedom invariant), so eviction is invisible to clients apart
-from one slower request.  Without a journal directory, sessions live
-only in memory and eviction is loss -- the create response says which
-kind the client got (``"journaled"``).
+executor resident.  Eviction syncs the journal, releases its
+descriptor and drops the in-memory state only: the next request for an
+evicted id *lazily recovers* it by replaying the journal's
+acknowledged prefix (bit-identical by the anomaly-freedom invariant),
+so eviction is invisible to clients apart from one slower request.
+Without a journal directory, sessions live only in memory and eviction
+is loss -- the create response says which kind the client got
+(``"journaled"``).
 
 A sealed journal (explicit ``DELETE``) is a tombstone: the id answers
 410 Gone forever after, which is what makes DELETE safe to retry.
@@ -44,6 +45,7 @@ from repro.runtime.journal import (
     replay_journal,
     scan_journal_dir,
     truncate_to_trusted,
+    valid_session_id,
 )
 
 
@@ -124,7 +126,10 @@ class SessionTable:
         journal_dir: where session journals live; None -> in-memory
             sessions only (not recoverable, documented as such).
         cap: most sessions held in memory at once; the least recently
-            used beyond it are evicted (journal synced, state dropped).
+            used beyond it are evicted (journal synced and its
+            descriptor released, state dropped).  A resident journaled
+            session holds at most one journal descriptor, opened at its
+            first append, so the cap bounds those too.
         ttl_s: idle seconds before a session is evicted.
         fsync: journal fsync policy for new and recovered sessions.
         budget: admission budget used when replaying journals (recovery
@@ -231,7 +236,7 @@ class SessionTable:
         return recovered
 
     def _recover(self, session_id: str) -> Session:
-        if not _valid_session_id(session_id):
+        if not valid_session_id(session_id):
             raise KeyError(session_id)
         state = read_journal(journal_path(self.journal_dir, session_id))
         if state.sealed:
@@ -307,14 +312,10 @@ class SessionTable:
     # -- drain ---------------------------------------------------------
 
     def sync_all(self) -> None:
-        """Force every resident journal to disk (the drain path)."""
+        """Force every resident journal to disk and release its
+        descriptor (the drain path)."""
         for session_id in self.ids():
             with self._lock:
                 session = self._sessions.get(session_id)
             if session is not None and session.journal is not None:
                 session.journal.sync()
-
-
-def _valid_session_id(session_id: str) -> bool:
-    return bool(session_id) and all(c.isalnum() or c == "-"
-                                    for c in session_id)

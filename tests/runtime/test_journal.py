@@ -11,6 +11,7 @@ ever crash the scan or corrupt recovered state.
 import errno
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -30,6 +31,7 @@ from repro.runtime.journal import (
     replay_journal,
     scan_journal_dir,
     truncate_to_trusted,
+    valid_session_id,
 )
 
 
@@ -418,3 +420,161 @@ for i in range(40):
             assert len(record["events"]) == 20
             seen.add(record["seq"])
         assert len(seen) == 4 * 40  # no line lost, none duplicated
+
+
+class TestHeldDescriptor:
+    """Storage faults on the descriptor a journal holds across appends:
+    a failure after N good appends must leave exactly those N on disk."""
+
+    GOOD = 5
+
+    def served(self, path, fsync="never"):
+        journal = SessionJournal(path, fsync=fsync)
+        journal.append_open("s-1", graph_to_dict(chain_graph()), mode="full",
+                            watchdog=None, source_done=0, auto_well_pose=True)
+        for seq in range(1, self.GOOD + 1):
+            journal.append_events(seq, [("io", 7 + seq)])
+        assert journal._fd is not None  # one descriptor, still held
+        return journal
+
+    @pytest.mark.parametrize("fault", ["short-then-enospc", "eio-at-once"])
+    def test_failed_write_rolls_back_to_the_size_before_it(
+            self, tmp_path, monkeypatch, fault):
+        path = tmp_path / "s-1.journal"
+        journal = self.served(path)
+        size = path.stat().st_size
+        real_write = os.write
+
+        def faulty(fd, data):
+            if fault == "short-then-enospc" and len(data) > 8:
+                return real_write(fd, bytes(data[:8]))
+            code = errno.ENOSPC if fault == "short-then-enospc" else errno.EIO
+            raise OSError(code, os.strerror(code))
+
+        monkeypatch.setattr(os, "write", faulty)
+        with pytest.raises(JournalWriteError):
+            journal.append_events(self.GOOD + 1, [("io", 99)])
+        monkeypatch.undo()
+        assert path.stat().st_size == size
+        assert journal._fd is None  # a failed append releases it
+        state = read_journal(path)
+        assert state.last_seq == self.GOOD and not state.torn_tail
+        # Not poisoned: the next append opens a fresh descriptor.
+        journal.append_events(self.GOOD + 1, [("io", 99)])
+        assert read_journal(path).last_seq == self.GOOD + 1
+
+    def test_short_writes_still_land_whole_lines(self, tmp_path,
+                                                 monkeypatch):
+        path = tmp_path / "s-1.journal"
+        journal = self.served(path)
+        real_write = os.write
+        monkeypatch.setattr(
+            os, "write", lambda fd, data: real_write(fd, bytes(data[:3])))
+        journal.append_events(self.GOOD + 1, [("io", 99)])
+        monkeypatch.undo()
+        state = read_journal(path)
+        assert state.last_seq == self.GOOD + 1 and not state.torn_tail
+
+    def test_fsync_failure_poisons_and_closes_the_descriptor(
+            self, tmp_path, monkeypatch):
+        path = tmp_path / "s-1.journal"
+        journal = self.served(path, fsync="always")
+        size = path.stat().st_size
+        monkeypatch.setattr(os, "fsync", TestRoundTrip.failing(errno.EIO))
+        with pytest.raises(JournalWriteError):
+            journal.append_events(self.GOOD + 1, [("io", 99)])
+        monkeypatch.undo()
+        assert journal._fd is None
+        assert path.stat().st_size == size
+        with pytest.raises(JournalWriteError, match="poisoned"):
+            journal.append_events(self.GOOD + 1, [("io", 99)])
+        assert journal._fd is None  # a poisoned journal opens nothing
+        assert read_journal(path).last_seq == self.GOOD
+
+    def test_service_drops_the_session_then_recovers_the_trusted_prefix(
+            self, tmp_path, monkeypatch):
+        from repro.runtime.journal import journal_path
+        from repro.service.app import SchedulingService, ServiceConfig
+
+        service = SchedulingService(ServiceConfig(
+            journal_dir=str(tmp_path), journal_fsync="never"))
+        status, body = service.dispatch(
+            "POST", "/sessions", {"graph": graph_to_dict(chain_graph())})
+        sid = body["session"]
+        events = f"/sessions/{sid}/events"
+        start = io_start()
+        assert start > 0
+        for seq in (1, 2, 3):  # before io starts: spurious, no-ops
+            status, _ = service.dispatch(
+                "POST", events, {"seq": seq, "events": [["io", 0]]})
+            assert status == 200
+        path = journal_path(str(tmp_path), sid)
+        trusted = path.stat().st_size
+        # A torn write whose rollback also fails: a fragment stays on
+        # disk behind the trusted prefix.
+        real_write = os.write
+        calls = []
+
+        def torn(fd, data):
+            calls.append(fd)
+            if len(calls) > 1:
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            return real_write(fd, bytes(data[:10]))
+
+        monkeypatch.setattr(os, "write", torn)
+        monkeypatch.setattr(os, "ftruncate",
+                            TestRoundTrip.failing(errno.EROFS))
+        status, body = service.dispatch(
+            "POST", events, {"seq": 4, "events": [["io", start + 2]]})
+        monkeypatch.undo()
+        assert status == 503 and body["error_type"] == "JournalWriteError"
+        assert sid not in service.sessions.ids()
+        assert path.stat().st_size == trusted + 10
+        # The next request recovers: truncate to the trusted prefix,
+        # replay it, and take seq 4 as new.
+        status, ack = service.dispatch(
+            "POST", events, {"seq": 4, "events": [["io", start + 2]]})
+        assert status == 200 and ack["complete"] and "replayed" not in ack
+        state = read_journal(path)
+        assert state.last_seq == 4
+        assert not state.torn_tail and state.rejected_lines == 0
+        service.close()
+
+
+def old_session_id_predicate(name):
+    return bool(name) and all(c.isalnum() or c == "-" for c in name)
+
+
+class TestSessionIdPredicate:
+    ALPHABET = (list("abcXYZ0189-_./\\: \x00")
+                + ["\u00e9", "\u00df", "\u0416", "\u4e2d",  # letters
+                   "\u0663", "\u00b2", "\u00bd", "\u216b",  # digits
+                   "\uff21", "\u0301", "\u2010", "\u2212",  # A, marks
+                   "\U0001f600"])
+
+    @pytest.mark.parametrize("name", [
+        "", "-", "---", "abc", "a-b", "ab/cd", "..", "a.b", "a\\b", "/",
+        "a b", "\u00e9t\u00e9-2", "\u0663\u00b2", "\u2010", "a\x00"])
+    def test_named_cases_match_the_old_predicate(self, name):
+        assert valid_session_id(name) is old_session_id_predicate(name)
+
+    def test_seeded_strings_match_the_old_predicate(self):
+        rng = random.Random(25)
+        accepted = 0
+        for _ in range(5000):
+            name = "".join(rng.choice(self.ALPHABET)
+                           for _ in range(rng.randint(0, 8)))
+            want = old_session_id_predicate(name)
+            assert valid_session_id(name) is want, repr(name)
+            accepted += want
+        assert 0 < accepted < 5000
+
+    def test_the_routes_and_the_scan_share_it(self, tmp_path):
+        from repro.service.app import _session_label
+
+        assert _session_label("/sessions/\u00e9-1") == (
+            "/sessions/{id}", "\u00e9-1")
+        assert _session_label("/sessions/a.b/events") == (None, None)
+        write_journal(tmp_path / "---.journal")
+        write_journal(tmp_path / "a_b.journal")
+        assert list(scan_journal_dir(tmp_path)) == ["---"]

@@ -8,6 +8,7 @@ dispatch level (the same code path, without pretending a SIGKILL --
 the CI smoke job covers the real process kill).
 """
 
+import os
 import threading
 import time
 
@@ -319,6 +320,88 @@ class TestEvictionAndRecovery:
         status, got = service.dispatch("GET", f"/sessions/{a['session']}",
                                        None)
         assert status == 200
+
+
+def journal_descriptors(directory):
+    """Descriptors this process holds on ``*.journal`` files under
+    *directory* (counted through ``/proc/self/fd``)."""
+    held = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:
+            continue
+        if target.startswith(str(directory)) and target.endswith(".journal"):
+            held.append(target)
+    return held
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts descriptors through /proc/self/fd")
+class TestHeldJournalDescriptors:
+    """One journal descriptor per resident session: opened at the first
+    append, released at seal, eviction, drain or a failed append."""
+
+    @staticmethod
+    def service(tmp_path, cap=256):
+        return SchedulingService(ServiceConfig(
+            journal_dir=str(tmp_path), session_cap=cap,
+            journal_fsync="never"))
+
+    @staticmethod
+    def open_session(service, seq_events=(("io", 0),)):
+        _, body = service.dispatch("POST", "/sessions",
+                                   {"graph": graph_to_dict(chain_graph())})
+        sid = body["session"]
+        for seq, (anchor, cycle) in enumerate(seq_events, start=1):
+            status, _ = service.dispatch(
+                "POST", f"/sessions/{sid}/events",
+                {"seq": seq, "events": [[anchor, cycle]]})
+            assert status == 200
+        return sid
+
+    def test_descriptors_stay_within_the_session_cap(self, tmp_path):
+        service = self.service(tmp_path, cap=4)
+        for _ in range(40):
+            self.open_session(service)
+            assert len(journal_descriptors(tmp_path)) <= 4
+        assert len(journal_descriptors(tmp_path)) == 4
+        assert service.sessions.evictions == 36
+        service.close()
+
+    def test_delete_closes_its_descriptor(self, tmp_path):
+        service = self.service(tmp_path)
+        sid = self.open_session(service)
+        assert len(journal_descriptors(tmp_path)) == 1
+        status, _ = service.dispatch("DELETE", f"/sessions/{sid}", None)
+        assert status == 200
+        assert journal_descriptors(tmp_path) == []
+
+    def test_service_close_leaves_none(self, tmp_path):
+        service = self.service(tmp_path)
+        for _ in range(3):
+            self.open_session(service)
+        assert len(journal_descriptors(tmp_path)) == 3
+        service.close()
+        assert journal_descriptors(tmp_path) == []
+
+    def test_evicted_session_recovers_with_one_fresh_descriptor(
+            self, tmp_path):
+        from repro.runtime.journal import journal_path
+
+        service = self.service(tmp_path, cap=1)
+        first = self.open_session(service)
+        second = self.open_session(service)  # evicts the first
+        assert journal_descriptors(tmp_path) == [
+            str(journal_path(str(tmp_path), second))]
+        status, ack = service.dispatch(
+            "POST", f"/sessions/{first}/events",
+            {"seq": 2, "events": [["io", io_start() + 1]]})
+        assert status == 200 and ack["complete"]
+        assert service.sessions.recoveries == 1
+        assert journal_descriptors(tmp_path) == [
+            str(journal_path(str(tmp_path), first))]
+        service.close()
 
 
 class TestCrashRecovery:
