@@ -12,6 +12,13 @@ front's own answers (another verb -> JSON 405; an oversized body ->
 process to shut down with SIGINT and verifies it exits cleanly (code 0)
 with its persistent cache flushed to disk.
 
+With ``--idle-sockets N`` it first opens N connections that never send
+a byte, keeps them open through the workload and the front checks, and
+also checks that ``/healthz`` still answers and that the server's
+thread count (``Threads:`` in ``/proc/<pid>/status``, Linux only) is
+the same as before they were opened: a connection costs the server a
+socket, not a thread.
+
 Every ``/schedule`` response is checked bit-identical to a serial
 ``schedule_graph(anchor_mode=FULL)`` run computed up front; the cache
 it checks on shutdown is filled by the ``/schedule_many`` requests.
@@ -19,6 +26,7 @@ it checks on shutdown is filled by the ``/schedule_many`` requests.
 Usage::
 
     python benchmarks/service_smoke.py            # 200 requests (CI)
+    python benchmarks/service_smoke.py --requests 200 --idle-sockets 200
     python benchmarks/service_smoke.py --requests 1000
 """
 
@@ -26,6 +34,7 @@ import argparse
 import random
 import re
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -187,10 +196,33 @@ def check_front(port):
     return failures
 
 
+def thread_count(pid):
+    """The ``Threads:`` line of ``/proc/<pid>/status``; None off Linux."""
+    try:
+        status = Path(f"/proc/{pid}/status").read_text()
+    except OSError:
+        return None
+    for line in status.splitlines():
+        if line.startswith("Threads:"):
+            return int(line.split()[1])
+    return None
+
+
+def healthz_failures(port, label):
+    with ServiceClient(port=port, timeout=30) as client:
+        status, body = client.healthz()
+    if status != 200 or body.get("ok") is not True:
+        return [(label, (status, body))]
+    return []
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--requests", type=int, default=200)
     parser.add_argument("--threads", type=int, default=8)
+    parser.add_argument("--idle-sockets", type=int, default=0,
+                        help="silent connections held open through the "
+                             "workload (default 0)")
     args = parser.parse_args(argv)
 
     workload = build_workload(args.requests)
@@ -203,8 +235,21 @@ def main(argv=None):
             drain = threading.Thread(
                 target=lambda: process.stdout.read(), daemon=True)
             drain.start()
-            elapsed, counters, failures = run_workload(
+            failures = []
+            idle = []
+            if args.idle_sockets:
+                # The first answer proves the server's threads are up.
+                failures += healthz_failures(port, "healthz")
+                before = thread_count(process.pid)
+                idle = [socket.create_connection(("127.0.0.1", port),
+                                                 timeout=30)
+                        for _ in range(args.idle_sockets)]
+                failures += healthz_failures(port, "healthz_idle_sockets")
+                print(f"{len(idle)} idle sockets open; /healthz "
+                      f"{'answered' if not failures else 'FAILED'}")
+            elapsed, counters, mix_failures = run_workload(
                 port, workload, args.threads)
+            failures += mix_failures
             print(f"{args.requests} requests over {args.threads} threads "
                   f"in {elapsed:.2f}s "
                   f"({args.requests / elapsed:.1f} req/s): {counters}")
@@ -212,6 +257,18 @@ def main(argv=None):
             print(f"front checks (PUT -> 405, 9 MiB body -> 413, reuse): "
                   f"{3 - len(front)}/3 passed")
             failures += front
+            if idle:
+                after = thread_count(process.pid)
+                if before is None:
+                    print("server threads: not checked (no /proc)")
+                else:
+                    print(f"server threads: {before} before the idle "
+                          f"sockets, {after} with them and after the "
+                          f"workload")
+                    if after != before:
+                        failures.append(("threads", (before, after)))
+                for sock in idle:
+                    sock.close()
             for kind, detail in failures[:5]:
                 print(f"  FAIL {kind}: {detail}")
         finally:

@@ -996,11 +996,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="bind port; 0 picks an ephemeral port "
                           "(default 8080)")
     srv.add_argument("--workers", type=int, default=4,
-                     help="requests worked on at once, each on its own "
-                          "connection thread -- the real scheduling "
-                          "concurrency, logged at startup (default 4)")
+                     help="admission slots; with --queue-capacity, the "
+                          "bound of the requests waiting to run on the "
+                          "server's one loop thread, logged at startup "
+                          "(default 4)")
     srv.add_argument("--queue-capacity", type=int, default=None,
-                     help="requests that may wait for a worker slot; "
+                     help="requests that may wait beyond --workers; "
                           "one more answers 503 (default 8x workers)")
     srv.add_argument("--cache", metavar="FILE",
                      help="persistent schedule cache for /schedule_many "

@@ -38,8 +38,9 @@ duplicate sequence numbers all end the trusted prefix the same way.
 
 The fsync policy is configurable per journal:
 
-* ``"always"`` (default) -- ``os.fsync`` after every append: a crash
-  loses nothing acknowledged, at ~one disk flush per batch;
+* ``"always"`` (default) -- ``os.fsync`` after every append, and of
+  the journal directory once after the genesis record: a crash loses
+  nothing acknowledged, at ~one disk flush per batch;
 * ``"never"`` -- leave durability to the OS page cache: an OS-level
   crash may lose recently acknowledged batches (a *process* crash
   loses nothing), at in-memory append cost.  :meth:`SessionJournal.sync`
@@ -65,6 +66,9 @@ try:  # pragma: no cover - platform-dependent
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
+
+#: ``os.O_DIRECTORY`` where the platform has it (the directory sync).
+_O_DIRECTORY = getattr(os, "O_DIRECTORY", None)
 
 #: Journal record schema version; bump to orphan all persisted journals.
 JOURNAL_FORMAT = 1
@@ -233,8 +237,11 @@ class SessionJournal:
         The first append opens the journal's ``O_APPEND`` descriptor
         and later ones reuse it, so an append costs ``flock, write,
         fsync, unlock``.  Only the *genesis* record creates the
-        journal's directory; every later record appends to a file that
-        already lives there.
+        journal's directory and file; every later record appends to a
+        file that already lives there.  A durable genesis also fsyncs
+        the directory, once: the file's fsync does not cover the new
+        entry that names it, so without it a power loss could lose a
+        session whose creation was acknowledged.
 
         A failed or short write raises :class:`JournalWriteError`: the
         caller must not acknowledge the batch.  Unlike the schedule
@@ -278,6 +285,8 @@ class SessionJournal:
                             if force_sync or self.fsync == "always":
                                 stage = "fsync"
                                 os.fsync(fd)
+                                if genesis:
+                                    _sync_directory(self.path.parent)
                         except OSError as error:
                             self._roll_back(fd, written, stage, error)
                             raise
@@ -305,6 +314,18 @@ class SessionJournal:
         except OSError as rollback:
             self._poisoned = (f"{stage} failed ({error}), then "
                               f"rollback failed ({rollback})")
+
+
+def _sync_directory(path: Path) -> None:
+    """fsync the directory *path*, making the entries created in it
+    durable (POSIX only: elsewhere a directory cannot be opened)."""
+    if _O_DIRECTORY is None:  # pragma: no cover - non-POSIX platforms
+        return
+    fd = os.open(path, os.O_RDONLY | _O_DIRECTORY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 # ----------------------------------------------------------------------

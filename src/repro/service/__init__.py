@@ -2,18 +2,19 @@
 
 The service stack, bottom up:
 
-* :mod:`repro.service.pool` -- the admission gate; connections are
-  cheap, and each connection thread runs its own request once one of
-  ``workers`` slots is free (a full wait queue -> HTTP 503);
+* :mod:`repro.service.pool` -- the admission gate; its ``workers +
+  queue_capacity`` bound the requests waiting to run (one more ->
+  HTTP 503), and every request runs inside it;
 * :mod:`repro.service.app` -- transport-agnostic dispatch: endpoints,
   budgets, the error contract; ``/schedule`` is one per-graph kernel
   call, ``/schedule_many`` one arena sweep behind the result cache;
 * :mod:`repro.service.sessions` -- the bounded table of durable
   executor sessions (journaled ``/sessions`` streams with idempotent
   replay and crash recovery);
-* :mod:`repro.service.server` -- the stdlib HTTP front (a
-  ``socketserver.ThreadingTCPServer`` whose connection threads run
-  their own HTTP/1.1 keep-alive loop, one write per response) and
+* :mod:`repro.service.server` -- the stdlib HTTP front (one
+  ``selectors`` loop on one thread serves every HTTP/1.1 keep-alive
+  connection and runs each request to the end, one send per
+  response; a connection costs a socket, not a thread) and
   :func:`serve`;
 * :mod:`repro.service.client` -- the JSON client the tests, smoke
   harness and benchmark share.

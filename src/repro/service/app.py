@@ -33,8 +33,12 @@ headers too large         431     HTTP front: a line over 64 KiB, or over
                                   100 lines
 not HTTP/1.x              505     HTTP front
 pool saturated            503     :class:`~repro.service.pool.PoolSaturatedError`
+                                  (the ready list is full)
+too many connections      503     HTTP front: ``ConnectionLimitError``, past
+                                  the descriptor-derived connection cap
 draining                  503     pool shut down, session admission closed
 no slot in time           504     :class:`~repro.service.pool.JobTimeoutError`
+                                  (waited ``request_timeout_s``)
 ========================  ======  =========================================
 
 The HTTP front's own answers (413 and the rows marked "HTTP front")
@@ -116,11 +120,13 @@ class ServiceConfig:
 
     Args:
         host/port: bind address (port 0 -> ephemeral, see server).
-        workers: scheduling slots: at most this many requests run at
-            once (on their own connection threads); logged at startup,
-            never silently capped.
-        queue_capacity: requests that may wait for a slot (None ->
-            ``8 * workers``); one more answers 503.
+        workers: admission slots.  The server runs one request at a
+            time on its loop thread, so ``workers + queue_capacity``
+            is the bound of its ready list; logged at startup, never
+            silently capped.
+        queue_capacity: with ``workers``, the requests that may wait
+            in the ready list (None -> ``8 * workers``); one more
+            answers 503.
         batching: only ``False`` is accepted.  The request-coalescing
             batcher is gone: ``/schedule`` always runs the per-graph
             kernel.
@@ -130,9 +136,9 @@ class ServiceConfig:
             has no specific one.
         tenant_budgets: per-tenant overrides keyed by ``X-Tenant``.
         max_body_bytes: request-body cap (HTTP 413 above it).
-        request_timeout_s: how long a request waits for a slot (HTTP
-            504 beyond it; a running request is bounded by its budget's
-            ``deadline_s`` instead).
+        request_timeout_s: how long a request may wait in the ready
+            list (HTTP 504 beyond it, without running; a running
+            request is bounded by its budget's ``deadline_s`` instead).
         journal_dir: directory for per-session write-ahead journals;
             None -> sessions are in-memory only (not crash-recoverable).
         session_cap: most sessions resident at once (LRU beyond it are
@@ -327,7 +333,7 @@ class SchedulingService:
 
     def handle_schedule(self, payload: Any,
                         tenant: Optional[str]) -> Dict[str, Any]:
-        """One graph in, one schedule out, on the request's own thread.
+        """One graph in, one schedule out, on the thread that serves it.
 
         ``guarded_schedule`` admits the graph (size, iteration bound)
         before any analysis and runs it under the tenant's deadline.

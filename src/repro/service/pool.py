@@ -1,22 +1,29 @@
 """The scheduling service's admission gate.
 
-The HTTP front (:mod:`repro.service.server`) runs one thread per
-connection, which bounds nothing: a burst of requests would schedule
-graphs on hundreds of threads at once.  The gate decouples *connections*
-from *work*: each connection thread runs its own request, but only once
-one of ``workers`` slots is free, and at most ``queue_capacity`` more
-requests may wait for a slot.  A request beyond that is refused
+:class:`WorkerPool` admits at most ``workers`` jobs at once, each run
+on the thread that asks, with at most ``queue_capacity`` more callers
+waiting for a slot in arrival order.  A caller beyond that is refused
 (:class:`PoolSaturatedError` -> HTTP 503) *before* any scheduling work
 starts, mirroring the RunBudget philosophy of refusing up front rather
 than aborting halfway; one that waits longer than its timeout gives up
 (:class:`JobTimeoutError` -> HTTP 504) without having started.
+
+The HTTP front (:mod:`repro.service.server`) runs every request on its
+one loop thread, one at a time, so a slot is always free when it asks
+and ``workers + queue_capacity`` bounds the loop's ready list instead:
+past it a request answers 503, and one that waited there longer than
+``request_timeout_s`` answers 504, both without running.  The loop
+still runs each request inside :meth:`WorkerPool.run` (with a zero
+wait, so it never blocks there): the drain's :meth:`WorkerPool.shutdown`
+refuses the rest with :class:`PoolShutdownError`, and a test can take
+every slot from other threads to saturate a live server.
 
 The work runs on the thread that asked for it: no hand-off to a pool
 thread and back.  It runs in a **copy of that thread's context**
 (:func:`contextvars.copy_context`), so it sees the per-request tracer
 the caller installed, while a context variable the job sets ends with
 the job instead of leaking into the next request on the same
-keep-alive connection.
+thread.
 """
 
 from __future__ import annotations
@@ -51,9 +58,9 @@ class WorkerPool:
     finishing job hands its slot straight to the longest waiter.
 
     Args:
-        workers: number of slots (the *whole* service's scheduling
-            concurrency; never silently capped -- see the startup log
-            in :mod:`repro.service.server`).
+        workers: number of slots (with ``queue_capacity``, the bound
+            of the server's ready list; never silently capped -- see
+            the startup log in :mod:`repro.service.server`).
         queue_capacity: how many callers may wait for a slot; defaults
             to ``8 * workers``.  A caller beyond ``workers +
             queue_capacity`` admitted ones raises

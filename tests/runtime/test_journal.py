@@ -376,6 +376,78 @@ class TestCrashSweep:
         assert outcomes[1].error == "WatchdogTimeoutError"
 
 
+class TestDirectorySync:
+    """A session create is acknowledged only once its journal's
+    directory entry is durable: the file's fsync, then the directory's,
+    then the ack."""
+
+    @staticmethod
+    def recording(monkeypatch, fail_directory=False):
+        """Patch ``os.open``/``os.fsync`` to log each fsync by path."""
+        real_open, real_fsync = os.open, os.fsync
+        names, log = {}, []
+
+        def opening(path, flags, *args):
+            fd = real_open(path, flags, *args)
+            names[fd] = os.fspath(path)
+            return fd
+
+        def fsync(fd):
+            log.append(("fsync", names.get(fd)))
+            if fail_directory and os.path.isdir(names.get(fd, "")):
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "open", opening)
+        monkeypatch.setattr(os, "fsync", fsync)
+        return log
+
+    @staticmethod
+    def service(journal_dir, fsync="always"):
+        from repro.service.app import SchedulingService, ServiceConfig
+
+        return SchedulingService(ServiceConfig(
+            journal_dir=str(journal_dir), journal_fsync=fsync))
+
+    def test_file_then_directory_then_ack(self, tmp_path, monkeypatch):
+        from repro.runtime.journal import journal_path
+
+        service = self.service(tmp_path / "journals")
+        log = self.recording(monkeypatch)
+        status, body = service.dispatch(
+            "POST", "/sessions", {"graph": graph_to_dict(chain_graph())})
+        log.append(("ack", status))
+        path = journal_path(str(tmp_path / "journals"), body["session"])
+        assert log == [("fsync", str(path)), ("fsync", str(path.parent)),
+                       ("ack", 200)]
+        # Later appends sync the file alone.
+        del log[:]
+        status, _ = service.dispatch(
+            "POST", f"/sessions/{body['session']}/events",
+            {"seq": 1, "events": [["io", io_start() + 1]]})
+        assert status == 200 and log == [("fsync", str(path))]
+
+    def test_a_failed_directory_sync_admits_no_session(self, tmp_path,
+                                                       monkeypatch):
+        journal_dir = tmp_path / "journals"
+        service = self.service(journal_dir)
+        self.recording(monkeypatch, fail_directory=True)
+        status, body = service.dispatch(
+            "POST", "/sessions", {"graph": graph_to_dict(chain_graph())})
+        monkeypatch.undo()
+        assert status == 503 and body["error_type"] == "JournalWriteError"
+        assert service.sessions.ids() == []
+        # Nothing on disk comes back as a session either.
+        assert self.service(journal_dir).recovered_sessions == 0
+
+    def test_no_directory_sync_without_fsync(self, tmp_path, monkeypatch):
+        service = self.service(tmp_path / "journals", fsync="never")
+        log = self.recording(monkeypatch)
+        status, _ = service.dispatch(
+            "POST", "/sessions", {"graph": graph_to_dict(chain_graph())})
+        assert status == 200 and log == []
+
+
 class TestConcurrentWriters:
     """The fcntl + single-write append discipline: concurrent appends
     from separate processes must land as whole lines, never spliced

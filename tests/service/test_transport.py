@@ -162,21 +162,15 @@ class TestKeepAlive:
             assert status == 200 and "schedule" in json.loads(body)
 
     def test_one_write_per_response(self, server, monkeypatch):
+        # Every reply leaves through the loop's one send per response.
         writes = []
-        setup = server_module._Connection.setup
+        send = server_module._Connection.send
 
-        def counting_setup(handler):
-            setup(handler)
-            write = handler.wfile.write
+        def counted(conn, data):
+            writes.append(bytes(data))
+            return send(conn, data)
 
-            def counted(data):
-                writes.append(bytes(data))
-                return write(data)
-
-            handler.wfile.write = counted
-
-        monkeypatch.setattr(server_module._Connection, "setup",
-                            counting_setup)
+        monkeypatch.setattr(server_module._Connection, "send", counted)
         batch = [request("GET", "/healthz"),
                  request("POST", "/schedule", SCHEDULE_BODY),
                  request("POST", "/schedule", b"{not json"),
